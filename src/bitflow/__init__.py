@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``bitcore``: bit-packed tensors and the word-level popcount primitive
+* ``bitcore``: bit-packed tensors and the byte-count fold, the one popcount primitive
 * ``binconv``: binary direct convolution (exact 32-bit and clipped 8-bit)
 * ``bnquant``: batch-norm math, threshold reduction, fixed-point quantization
 * ``netgraph``: composable blocks, model execution, model file format

@@ -20,6 +20,7 @@ import os
 import statistics
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,7 +155,7 @@ def parse_config_file(path, repeats=15, warmup=3, threads=1) -> list:
 
 
 def _build_workload(cfg: BenchConfig, seed: int):
-    rng = np.random.default_rng(np.uint64(seed) ^ np.uint64(hash(cfg.name) & 0xFFFF))
+    rng = np.random.default_rng(np.uint64(seed) ^ np.uint64(zlib.crc32(cfg.name.encode())))
     x = I8FeatureMap(
         rng.integers(-127, 128, size=(1, cfg.height, cfg.width, cfg.c_in)).astype(np.int8)
     )
@@ -480,8 +481,6 @@ def cmd_bench(args) -> int:
         configs = parse_config_file(args.config, args.repeats, args.warmup, args.threads)
     else:
         configs = default_suite(args.repeats, args.warmup, args.threads)
-    for cfg in configs:
-        cfg.repeats, cfg.warmup, cfg.threads = args.repeats, args.warmup, args.threads
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in VARIANTS:

@@ -17,6 +17,11 @@ Two output paths share that accumulation:
 ``conv_fused`` collapses binarize/pad/convolve into one tiled pass over
 the input; tiling and worker count are pure performance knobs and never
 change results.
+
+Both kernels count matches with :func:`bitcore.byte_counts`. The staged
+one widens every tap to int32; the fused one adds byte counts lane-wise
+across taps and widens once per drain. Both split output rows into spans
+with :func:`_run_row_spans`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
+    byte_counts,
     pack_activations,
     pack_bitplanes,
 )
@@ -104,33 +110,20 @@ def _pad_words(words: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H8 = np.uint64(0x0101010101010101)
-
 # The multiply-shift horizontal sum only holds totals below 256, so the
 # lane-wise word fold ahead of it is limited to 3 words (3 * 64 <= 192).
 _MULT_FOLD_WORDS = 3
+_H8 = np.uint64(0x0101010101010101)
 
 
 def _fold_matches(x: np.ndarray) -> np.ndarray:
     """Total set bits over the last (word) axis of a uint64 array.
 
-    Byte-wise counts first (what a SIMD byte-count gives), then either the
-    multiply-shift horizontal sum (narrow folds) or pairwise widening
-    (wide folds, where the total would overflow a byte).
+    Byte-wise counts first, then either the multiply-shift horizontal sum
+    (narrow folds) or pairwise widening (wide folds, where the total would
+    overflow a byte).
     """
-    t = x >> np.uint64(1)
-    t &= _M1
-    x = x - t
-    t = x >> np.uint64(2)
-    t &= _M2
-    x &= _M2
-    x += t
-    t = x >> np.uint64(4)
-    x += t
-    x &= _M4  # each byte now holds its bit count
+    x = byte_counts(x)
     wps = x.shape[-1]
     if wps == 1:
         folded = x[..., 0]
@@ -141,16 +134,15 @@ def _fold_matches(x: np.ndarray) -> np.ndarray:
     return ((folded * _H8) >> np.uint64(56)).astype(np.int32)
 
 
-def _match_counts(padded, kwords_inv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
-    """Total XNOR match count per output element, int32 (n, oh, ow, out).
+def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
+    """Add the XNOR match count of every output element to int32 ``acc``.
 
-    ``kwords_inv`` holds bit-inverted kernel words, so XOR against the
-    input is already XNOR against the kernel. Every tap is counted and
-    widened to the 32-bit accumulator separately (the staged data flow).
+    ``acc`` is (n, oh, ow, out); ``kwords_inv`` holds bit-inverted kernel
+    words, so XOR against the input is already XNOR against the kernel.
+    Every tap is counted and widened to the 32-bit accumulator separately
+    (the staged data flow).
     """
-    n = padded.shape[0]
-    out = kwords_inv.shape[0]
-    acc = np.zeros((n, oh, ow, out), dtype=np.int32)
+    _, oh, ow, _ = acc.shape
     for i in range(fh):
         for j in range(fw):
             slab = padded[
@@ -158,7 +150,6 @@ def _match_counts(padded, kwords_inv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
             ]
             x = np.bitwise_xor(slab[:, :, :, None, :], kwords_inv[:, i, j, :])
             acc += _fold_matches(x)
-    return acc
 
 
 _L16 = np.uint64(0x00FF00FF00FF00FF)
@@ -205,17 +196,7 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
                 :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
             ]
             np.bitwise_xor(slab[:, :, :, None, :], kinv[:, i, j, :], out=xbuf)
-            np.right_shift(xbuf, np.uint64(1), out=tbuf)
-            tbuf &= _M1
-            xbuf -= tbuf
-            np.right_shift(xbuf, np.uint64(2), out=tbuf)
-            tbuf &= _M2
-            xbuf &= _M2
-            xbuf += tbuf
-            np.right_shift(xbuf, np.uint64(4), out=tbuf)
-            xbuf += tbuf
-            xbuf &= _M4
-            lanes += xbuf
+            lanes += byte_counts(xbuf, tbuf)
             pending += 1
             if pending == _LANE_TAPS:
                 drained = _drain_lanes(lanes)
@@ -228,25 +209,16 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
     return acc
 
 
-def _row_chunks(oh: int, threads: int):
-    chunk = -(-oh // threads)
-    return [(y, min(y + chunk, oh)) for y in range(0, oh, chunk)]
-
-
-def _match_counts_threaded(padded, kwords_inv, fh, fw, sh, sw, oh, ow, threads):
-    if threads <= 1 or oh == 1:
-        return _match_counts(padded, kwords_inv, fh, fw, sh, sw, oh, ow)
-    n = padded.shape[0]
-    acc = np.empty((n, oh, ow, kwords_inv.shape[0]), dtype=np.int32)
-
-    def work(span):
-        y0, y1 = span
-        rows = padded[:, y0 * sh : (y1 - 1) * sh + fh, :, :]
-        acc[:, y0:y1] = _match_counts(rows, kwords_inv, fh, fw, sh, sw, y1 - y0, ow)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, _row_chunks(oh, threads)))
-    return acc
+def _run_row_spans(oh: int, span_rows: int, threads: int, work) -> None:
+    """Call ``work(y0, y1)`` on consecutive spans of ``span_rows`` output
+    rows, on a pool of ``threads`` workers when there is more than one span."""
+    spans = [(y, min(y + span_rows, oh)) for y in range(0, oh, span_rows)]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda span: work(*span), spans))
+    else:
+        for span in spans:
+            work(*span)
 
 
 def conv_i32(
@@ -259,10 +231,16 @@ def conv_i32(
     """
     n, oh, ow, out = output_shape(x.dims, k.dims, spec)
     _, fh, fw, cin = k.dims
+    sh, sw = spec.stride
     padded = _pad_words(x.words, *spec.spatial_pad)
-    acc = _match_counts_threaded(
-        padded, np.bitwise_not(k.words), fh, fw, *spec.stride, oh, ow, threads
-    )
+    kinv = np.bitwise_not(k.words)
+    acc = np.zeros((n, oh, ow, out), dtype=np.int32)
+
+    def work(y0, y1):
+        rows = padded[:, y0 * sh : (y1 - 1) * sh + fh]
+        _match_counts(rows, kinv, fh, fw, sh, sw, acc[:, y0:y1])
+
+    _run_row_spans(oh, -(-oh // max(threads, 1)), threads, work)
     bias = np.int32(2 * k.pad_correction + fh * fw * cin)
     return I32FeatureMap(2 * acc - bias)
 
@@ -276,13 +254,13 @@ def conv_i8(
 
 
 def default_tile_rows(x_dims, k: PackedKernelSet, spec: ConvSpec) -> int:
-    """Output rows per tile so one tile of packed input plus the kernel
-    fits in the cache budget."""
-    _, h, w, cin = x_dims
-    _, fh, fw, _ = k.dims
+    """Output rows per tile so one tile of packed input, over the whole
+    batch, plus the kernel fits in the cache budget."""
+    n, _, w, _ = x_dims
+    _, fh, _, _ = k.dims
     sh, _ = spec.stride
     _, pw = spec.spatial_pad
-    row_bytes = (w + 2 * pw) * k.words_per_site * 8
+    row_bytes = n * (w + 2 * pw) * k.words_per_site * 8
     kernel_bytes = k.words.size * 8
     budget_rows = (TILE_BYTE_BUDGET - kernel_bytes) // max(row_bytes, 1)
     return max(1, int((budget_rows - fh) // sh + 1))
@@ -320,8 +298,7 @@ def conv_fused(
     kinv = np.bitwise_not(k.words)
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
-    def run_tile(span):
-        y0, y1 = span
+    def run_tile(y0, y1):
         r0, r1 = y0 * sh, (y1 - 1) * sh + fh  # padded input row range
         buf = np.zeros((n, r1 - r0, w + 2 * pw, wps), dtype=np.uint64)
         lo, hi = max(r0, ph), min(r1, ph + h)
@@ -335,13 +312,7 @@ def conv_fused(
         np.clip(acc, I8_MIN, I8_MAX, out=acc)
         result[:, y0:y1] = acc.astype(np.int8)
 
-    tiles = [(y, min(y + tile_rows, oh)) for y in range(0, oh, tile_rows)]
-    if threads > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, tiles))
-    else:
-        for span in tiles:
-            run_tile(span)
+    _run_row_spans(oh, tile_rows, threads, run_tile)
     return I8FeatureMap(result)
 
 

@@ -1,4 +1,4 @@
-"""Bit-packed tensor storage and the word-level population-count primitive.
+"""Bit-packed tensor storage and the byte-count fold every kernel uses.
 
 Packing convention, shared by every module in this package:
 
@@ -14,6 +14,10 @@ pad position XNORs to a match. The kernel-side ``pad_correction`` constant
 cancels that fixed bias, which keeps the convolution inner loops branch
 free. Words are fixed at 64 bits and serialize little-endian, so packed
 tensors are bit-exact across platforms.
+
+:func:`byte_counts` is the package's one population-count primitive: it
+turns every byte of a word into its set-bit count, and the convolution
+kernels sum those byte counts in narrow lanes.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ import numpy as np
 
 WORD_BITS = 64
 
-# Masks for the byte-wise fold of the word popcount.
+# Masks of the byte-count fold: bit pairs, nibbles, bytes.
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H8 = np.uint64(0x0101010101010101)
 
 _BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
 
@@ -210,49 +213,25 @@ def unpack_weights(k: PackedKernelSet) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
-def popcount_words(v: np.ndarray) -> np.ndarray:
-    """Per-word set-bit counts for a uint64 array.
+def byte_counts(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Replace every byte of a uint64 array with its set-bit count, in place.
 
-    The three masked folds leave each byte holding the count of set bits
-    in that byte (what a SIMD byte-count instruction produces); the final
-    multiply-shift sums the eight byte counts horizontally.
+    Three masked folds (bit pairs, nibbles, bytes) leave each byte holding
+    0..8, what a SIMD byte-count instruction produces. ``scratch``, a uint64
+    array of ``v``'s shape, takes the shifted operand so repeated calls
+    allocate nothing. Returns ``v``.
     """
-    v = np.asarray(v, dtype=np.uint64)
-    v = v - ((v >> np.uint64(1)) & _M1)
-    v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
-    v = (v + (v >> np.uint64(4))) & _M4
-    return (v * _H8) >> np.uint64(56)
-
-
-def _byte_counts(v: np.ndarray) -> np.ndarray:
-    """Set-bit count of every byte of a uint64 array, as a flat uint8 array."""
-    v = v - ((v >> np.uint64(1)) & _M1)
-    v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
-    v = (v + (v >> np.uint64(4))) & _M4
-    return np.ascontiguousarray(v).view(np.uint8).ravel()
-
-
-def popcount_match(a: np.ndarray, b: np.ndarray) -> int:
-    """Count matching bits between two equal-length word spans.
-
-    Returns popcount(XNOR(a, b)) over all 64 bits of every word, reduced
-    as byte-wise counts, then pairwise additions into wide lanes, then one
-    final horizontal sum. Counters are wide throughout, so the result is
-    exact and independent of word order.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"span length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0
-    xnor = np.bitwise_not(np.bitwise_xor(a, b))
-    lanes = _byte_counts(xnor).astype(np.int64)
-    while lanes.size > 8:
-        if lanes.size % 2:
-            lanes = np.concatenate([lanes, np.zeros(1, dtype=np.int64)])
-        lanes = lanes[0::2] + lanes[1::2]
-    return int(lanes.sum())
+    t = np.right_shift(v, np.uint64(1), out=scratch)
+    t &= _M1
+    v -= t
+    np.right_shift(v, np.uint64(2), out=t)
+    t &= _M2
+    v &= _M2
+    v += t
+    np.right_shift(v, np.uint64(4), out=t)
+    v += t
+    v &= _M4
+    return v
 
 
 def _check_pad_bits(words: np.ndarray, channels: int) -> None:
@@ -262,50 +241,3 @@ def _check_pad_bits(words: np.ndarray, channels: int) -> None:
     stale = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(used)
     if np.any(words[..., -1] & stale):
         raise ValueError("channel pad bits must be zero")
-
-
-def tensor_to_bytes(t: BitPlaneTensor) -> bytes:
-    """Serialize: four u32 little-endian dims, then words as little-endian u64."""
-    dims = np.asarray(t.dims, dtype="<u4")
-    return dims.tobytes() + t.words.astype("<u8").tobytes()
-
-
-def tensor_from_bytes(buf: bytes) -> BitPlaneTensor:
-    dims = tuple(int(d) for d in np.frombuffer(buf[:16], dtype="<u4"))
-    _check_dims(dims, ("batch", "height", "width", "channels"))
-    n, h, w, c = dims
-    wps = words_per_pixel(c)
-    expect = 16 + n * h * w * wps * 8
-    if len(buf) != expect:
-        raise ValueError(f"serialized tensor is {len(buf)} bytes, expected {expect}")
-    words = (
-        np.frombuffer(buf, dtype="<u8", offset=16)
-        .astype(np.uint64)
-        .reshape(n, h, w, wps)
-    )
-    _check_pad_bits(words, c)
-    return BitPlaneTensor(dims, words, wps * WORD_BITS - c)
-
-
-def kernels_to_bytes(k: PackedKernelSet) -> bytes:
-    """Serialize a kernel set with the same layout as :func:`tensor_to_bytes`."""
-    dims = np.asarray(k.dims, dtype="<u4")
-    return dims.tobytes() + k.words.astype("<u8").tobytes()
-
-
-def kernels_from_bytes(buf: bytes) -> PackedKernelSet:
-    dims = tuple(int(d) for d in np.frombuffer(buf[:16], dtype="<u4"))
-    _check_dims(dims, ("out_channels", "filter_h", "filter_w", "in_channels"))
-    out, fh, fw, cin = dims
-    wps = words_per_pixel(cin)
-    expect = 16 + out * fh * fw * wps * 8
-    if len(buf) != expect:
-        raise ValueError(f"serialized kernels are {len(buf)} bytes, expected {expect}")
-    words = (
-        np.frombuffer(buf, dtype="<u8", offset=16)
-        .astype(np.uint64)
-        .reshape(out, fh, fw, wps)
-    )
-    _check_pad_bits(words, cin)
-    pad = wps * WORD_BITS - cin
-    return PackedKernelSet(dims, words, pad, fh * fw * pad)

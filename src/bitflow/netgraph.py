@@ -17,7 +17,9 @@ Model file layout (all little-endian): magic ``BDF1``, u16 version,
 u16 layer count, per layer a tag byte plus kernel dims (u32 x4), stride
 and padding (u32 x4), packed kernel words (u64), and the block's tables;
 a CRC-32 of everything before it closes the file. The CRC is checked
-before any parsing, so every single-byte corruption is rejected.
+before any parsing, so every single-byte corruption is rejected. Kernel
+words with a set channel-pad bit are rejected too: the match count
+assumes those bits are zero.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
+    _check_pad_bits,
     pack_weights,
     unpack_weights,
     words_per_pixel,
@@ -352,6 +355,7 @@ def _read_block(cur: _Cursor):
             .astype(np.uint64)
             .reshape(out, fh, fw, wps)
         )
+        _check_pad_bits(words, cin)
         pad = wps * 64 - cin
         kernel = PackedKernelSet((out, fh, fw, cin), words, pad, fh * fw * pad)
         if tag == _TAG_VGG:

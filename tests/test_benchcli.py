@@ -1,5 +1,9 @@
 """Tests for the bench/convert/validate command line."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,6 +105,31 @@ class TestBench:
             run_bench([tiny_config()], ["i8-fused"], seed=4)
 
 
+_WORKLOAD_DIGEST = """
+import hashlib
+from bitflow.benchcli import _build_workload, default_suite
+h = hashlib.sha256()
+for cfg in default_suite():
+    x, k, w = _build_workload(cfg, 5)
+    h.update(x.values.tobytes() + k.words.tobytes() + w.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestWorkload:
+    def test_identical_across_hash_seeds(self):
+        src = os.path.dirname(os.path.dirname(benchcli.__file__))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _WORKLOAD_DIGEST],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
+
+
 class TestCli:
     def test_bench_cli_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -113,6 +142,20 @@ class TestCli:
         assert lines[0] == "config,variant,median_us,min_us,max_us,ratio"
         out = capsys.readouterr().out
         assert "median_us" in out
+
+    def test_bench_keeps_stanza_settings(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run_bench(configs, variants, seed):
+            seen.extend(configs)
+            return benchcli.BenchReport([])
+
+        monkeypatch.setattr(benchcli, "run_bench", fake_run_bench)
+        path = tmp_path / "two.cfg"
+        path.write_text("id=a\nh=8\nw=8\ncin=16\ncout=4\nrepeats=7\nthreads=2\n\n"
+                        "id=b\nh=8\nw=8\ncin=16\ncout=4\n")
+        assert main(["bench", "--repeats", "9", "--config", str(path)]) == 0
+        assert [(c.repeats, c.threads) for c in seen] == [(7, 2), (9, 1)]
 
     def test_bench_unknown_variant(self, tmp_path):
         code = main(["bench", "--variants", "cuda", "--config", str(_write_cfg(tmp_path))])

@@ -255,3 +255,36 @@ class TestConvFused:
     def test_default_tile_rows_positive(self):
         k = pack_weights(np.ones((64, 3, 3, 256)))
         assert default_tile_rows((1, 56, 56, 256), k, ConvSpec(spatial_pad=(1, 1))) >= 1
+
+    def test_default_tile_rows_counts_batch(self):
+        # the toy-VGG stem: 16x16x8 input, 64 3x3 filters
+        k = pack_weights(np.ones((64, 3, 3, 8)))
+        spec = ConvSpec(spatial_pad=(1, 1))
+        picks = [default_tile_rows((n, 16, 16, 8), k, spec) for n in (1, 2, 8, 100, 400)]
+        assert picks[0] == 193  # (32768 - 4608) // 144 budget rows, minus fh - 1
+        assert picks[0] > picks[1] > picks[2] > picks[3] >= picks[4] >= 1
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    def test_many_taps_all_match(self, tile_rows):
+        # the toy-VGG accumulator's 8x8 stride-8 filter has 64 taps; every
+        # byte lane gains 8 per tap, so lanes must drain before the 32nd
+        x = I8FeatureMap(np.ones((2, 16, 16, 1), dtype=np.int8))
+        k = pack_weights(np.ones((3, 8, 8, 1)))
+        spec = ConvSpec(stride=(8, 8))
+        fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+        assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
+        assert (fused == 64).all()
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("cin,f,stride", [(64, 8, 8), (200, 8, 8), (200, 3, 1), (257, 6, 2)])
+    def test_many_taps_and_wide_channels_match_staged(self, tile_rows, cin, f, stride):
+        rng = np.random.default_rng(cin * f)
+        for _ in range(3):
+            vals = rng.integers(-127, 128, size=(2, 16, 16, cin)).astype(np.int8)
+            x = I8FeatureMap(vals)
+            k = pack_weights(rng.standard_normal((4, f, f, cin)))
+            spec = ConvSpec(stride=(stride, stride), spatial_pad=(1, 1))
+            thr = self._random_threshold(rng, cin)
+            for t in (thr, None):
+                fused = conv_fused(x, t, k, spec, tile_rows=tile_rows)
+                assert np.array_equal(fused.values, staged_conv_i8(x, t, k, spec).values)

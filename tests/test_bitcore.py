@@ -1,4 +1,4 @@
-"""Tests for bit packing, unpacking and the popcount primitive."""
+"""Tests for bit packing, unpacking and the byte-count fold."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from bitflow import bitcore
 from bitflow.bitcore import (
     BitPlaneTensor,
     pack_activations,
+    byte_counts,
     pack_weights,
-    popcount_match,
-    popcount_words,
     unpack_bits,
     unpack_weights,
     words_per_pixel,
@@ -24,6 +23,12 @@ def naive_match_count(a, b):
         for i in range(64):
             total += 1 - ((x >> i) & 1)
     return total
+
+
+def match_count(a, b):
+    """popcount(XNOR(a, b)) summed from the fold's per-byte counts."""
+    xnor = np.bitwise_not(np.bitwise_xor(a, b))
+    return int(byte_counts(xnor).view(np.uint8).sum(dtype=np.int64))
 
 
 class TestPacking:
@@ -116,12 +121,11 @@ class TestPacking:
 class TestPopcount:
     def test_identical_spans(self):
         a = np.array([0x0123456789ABCDEF, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        assert popcount_match(a, a) == 128
+        assert match_count(a, a) == 128
 
     def test_complement_spans(self):
         a = np.array([0x0123456789ABCDEF, 0x0], dtype=np.uint64)
-        b = ~a
-        assert popcount_match(a, b) == 0
+        assert match_count(a, ~a) == 0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0xB17F10)
@@ -129,7 +133,7 @@ class TestPopcount:
             n = int(rng.integers(1, 5))
             a = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
             b = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-            assert popcount_match(a, b) == naive_match_count(a, b)
+            assert match_count(a, b) == naive_match_count(a, b)
 
     def test_complement_law(self):
         rng = np.random.default_rng(3)
@@ -137,46 +141,30 @@ class TestPopcount:
             n = int(rng.integers(1, 8))
             a = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
             b = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-            assert popcount_match(a, b) + popcount_match(a, ~b) == 64 * n
-
-    def test_length_mismatch(self):
-        a = np.zeros(2, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            popcount_match(a, np.zeros(3, dtype=np.uint64))
+            assert match_count(a, b) + match_count(a, ~b) == 64 * n
 
     def test_empty_span(self):
-        assert popcount_match(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)) == 0
+        assert match_count(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)) == 0
 
     def test_popcount_words(self):
         v = np.array([0, 1, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001], dtype=np.uint64)
-        assert popcount_words(v).tolist() == [0, 1, 64, 2]
+        counts = byte_counts(v.copy()).view(np.uint8).reshape(4, 8).sum(axis=1)
+        assert counts.tolist() == [0, 1, 64, 2]
 
+    def test_every_byte_value_in_every_position(self):
+        values = np.arange(256, dtype=np.uint64)
+        want = [bin(b).count("1") for b in range(256)]
+        for pos in range(8):
+            v = values << np.uint64(8 * pos)
+            got = byte_counts(v).view(np.uint8).reshape(256, 8)
+            assert got[:, pos].tolist() == want
+            assert not np.delete(got, pos, axis=1).any()
 
-class TestSerialization:
-    def test_tensor_roundtrip(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 3, 3, 70))
-        t = pack_activations(x)
-        t2 = bitcore.tensor_from_bytes(bitcore.tensor_to_bytes(t))
-        assert t2.dims == t.dims
-        assert np.array_equal(t2.words, t.words)
-
-    def test_kernel_roundtrip(self):
-        rng = np.random.default_rng(6)
-        k = pack_weights(rng.standard_normal((3, 3, 3, 10)))
-        k2 = bitcore.kernels_from_bytes(bitcore.kernels_to_bytes(k))
-        assert k2.dims == k.dims and k2.pad_correction == k.pad_correction
-        assert np.array_equal(k2.words, k.words)
-
-    def test_truncated_rejected(self):
-        t = pack_activations(np.ones((1, 1, 1, 4)))
-        buf = bitcore.tensor_to_bytes(t)
-        with pytest.raises(ValueError):
-            bitcore.tensor_from_bytes(buf[:-1])
-
-    def test_dirty_pad_bits_rejected(self):
-        t = pack_activations(np.ones((1, 1, 1, 4)))
-        buf = bytearray(bitcore.tensor_to_bytes(t))
-        buf[-1] ^= 0x80  # top pad bit of the only word
-        with pytest.raises(ValueError):
-            bitcore.tensor_from_bytes(bytes(buf))
+    def test_in_place_with_scratch(self):
+        rng = np.random.default_rng(4)
+        v = rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)
+        want = byte_counts(v.copy())
+        scratch = np.empty_like(v)
+        out = byte_counts(v, scratch)
+        assert out is v
+        assert np.array_equal(v, want)

@@ -1,5 +1,8 @@
 """Tests for block execution, model composition and the file format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -324,6 +327,17 @@ class TestSerialization:
 
         buf[-4:] = _s.pack("<I", _z.crc32(bytes(buf[:-4])))
         with pytest.raises(ModelFormatError):
+            model_from_bytes(bytes(buf))
+
+    def test_dirty_pad_bits_rejected(self):
+        blk = VggBlock(pack_weights(np.ones((1, 1, 1, 4))), ConvSpec())
+        buf = bytearray(model_to_bytes(Model([blk])))
+        model_from_bytes(bytes(buf))
+        # magic + version + layer count (8 bytes), block header (33 bytes),
+        # then the one kernel word, whose top byte holds only pad bits
+        buf[8 + 33 + 7] ^= 0x80
+        buf[-4:] = struct.pack("<I", zlib.crc32(bytes(buf[:-4])))
+        with pytest.raises(ModelFormatError, match="pad bits"):
             model_from_bytes(bytes(buf))
 
     def test_single_byte_corruption_detected(self):
