@@ -446,20 +446,43 @@ def serialization_sweep(rng, n_models: int, corrupt_every: int = 5) -> SweepResu
     return SweepResult("serialization", n_models)
 
 
+def _staged_model_output(model: netgraph.Model, x: np.ndarray) -> np.ndarray:
+    """``run_model``'s result rebuilt block by block on the staged path:
+    staged_conv_i8, then threshold hand-off, or bn_q_forward and the
+    saturating shortcut add."""
+    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
+    thr = None
+    for blk in model.blocks:
+        y = staged_conv_i8(h, thr, blk.kernel, blk.spec)
+        if isinstance(blk, netgraph.ResnetBlock):
+            z = bnquant.bn_q_forward(y, blk.qbn).values.astype(np.int16)
+            y = I8FeatureMap(np.clip(z + h.values, -127, 127).astype(np.int8))
+            thr = None
+        else:
+            thr = blk.thr
+        h = y
+    return h.values
+
+
 def validate_model_file(path, rng) -> SweepResult:
-    """Structure, roundtrip and staged-vs-fused agreement for one model."""
+    """Structure, roundtrip and executor-vs-staged agreement for one model."""
     model = netgraph.load_model(path)
     blob = netgraph.model_to_bytes(model)
     if netgraph.model_to_bytes(netgraph.model_from_bytes(blob)) != blob:
         return SweepResult("model-file", 0, "re-save is not byte stable")
-    first = model.blocks[0].kernel.in_channels if model.blocks else 0
     if not model.blocks:
         return SweepResult("model-file", 0, "model has no layers")
-    x = rng.standard_normal((1, 8, 8, first))
-    a = netgraph.run_model(model, x).values
-    b = netgraph.run_model(model, x).values
-    if not np.array_equal(a, b):
-        return SweepResult("model-file", 1, "model is not deterministic")
+    x = rng.standard_normal((1, 8, 8, model.blocks[0].kernel.in_channels))
+    try:
+        got = netgraph.run_model(model, x).values
+    except netgraph.GraphError as exc:
+        return SweepResult("model-file", 1, f"model does not run: {exc}")
+    want = _staged_model_output(model, x)
+    if not np.array_equal(got, want):
+        diff = tuple(int(i) for i in np.argwhere(got != want)[0])
+        return SweepResult(
+            "model-file", 1, f"executor differs from the staged path, first diff at {diff}"
+        )
     return SweepResult("model-file", 2)
 
 

@@ -18,10 +18,13 @@ Two output paths share that accumulation:
 the input; tiling and worker count are pure performance knobs and never
 change results.
 
-Both kernels count matches with :func:`bitcore.byte_counts`. The staged
-one widens every tap to int32; the fused one adds byte counts lane-wise
-across taps and widens once per drain. Both split output rows into spans
-with :func:`_run_row_spans`.
+The staged kernel counts matches with :func:`bitcore.byte_counts` and
+widens every tap to int32. The fused kernel counts with
+``np.bitwise_count``, adds the counts into uint16 lanes across taps and
+sums the word axis to int32 once per drain; a site that fits one word is
+held in the narrowest unsigned word that fits its channels (8, 16, 32 or
+64 bits), so the 8-channel stem XORs and counts bytes, not 64-bit words.
+Both kernels split output rows into spans with :func:`_run_row_spans`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcore import (
+    WORD_BITS,
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
@@ -156,10 +160,6 @@ _L16 = np.uint64(0x00FF00FF00FF00FF)
 _L32 = np.uint64(0x0000FFFF0000FFFF)
 _L64 = np.uint64(0x00000000FFFFFFFF)
 
-# Byte lanes accumulate at most 8 bits per tap, so up to 31 taps can be
-# summed lane-wise before a widening drain is due.
-_LANE_TAPS = 31
-
 
 def _drain_lanes(lanes: np.ndarray) -> np.ndarray:
     """Sum per-byte lane counts to int32 totals over words.
@@ -175,20 +175,27 @@ def _drain_lanes(lanes: np.ndarray) -> np.ndarray:
     return t.sum(axis=-1, dtype=np.uint64).astype(np.int32)
 
 
-def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
-    """Match counts for one tile with byte-lane accumulation across taps.
+# A uint16 lane gains at most one word's bits (64) per tap, so up to 1023
+# taps can be summed lane-wise before a widening drain is due.
+_LANE_TAPS = np.iinfo(np.uint16).max // WORD_BITS
 
-    The fused kernel's inner loop: XNOR, byte-wise bit counts, lane-wise
-    adds, and a single widening reduction at the end instead of a 32-bit
-    accumulate per tap. Bit-identical to :func:`_match_counts`.
+
+def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
+    """Match counts for one tile with uint16 lane accumulation across taps.
+
+    The fused kernel's inner loop: XNOR, ``np.bitwise_count`` into bytes,
+    a lane-wise add into uint16, and one word-axis sum to int32 per drain
+    instead of a 32-bit accumulate per tap. ``buf`` and ``kinv`` share one
+    unsigned word type of any width; the counts include that word's
+    channel-pad matches, which the caller's bias removes.
     """
     n = buf.shape[0]
     out, wps = kinv.shape[0], kinv.shape[3]
     shape5 = (n, oh, ow, out, wps)
-    xbuf = np.empty(shape5, dtype=np.uint64)
-    tbuf = np.empty(shape5, dtype=np.uint64)
-    lanes = np.zeros(shape5, dtype=np.uint64)
-    acc = None
+    xbuf = np.empty(shape5, dtype=buf.dtype)
+    counts = np.empty(shape5, dtype=np.uint8)
+    lanes = np.zeros(shape5, dtype=np.uint16)
+    acc = np.zeros((n, oh, ow, out), dtype=np.int32)
     pending = 0
     for i in range(fh):
         for j in range(fw):
@@ -196,16 +203,15 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
                 :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
             ]
             np.bitwise_xor(slab[:, :, :, None, :], kinv[:, i, j, :], out=xbuf)
-            lanes += byte_counts(xbuf, tbuf)
+            np.bitwise_count(xbuf, out=counts)
+            lanes += counts
             pending += 1
             if pending == _LANE_TAPS:
-                drained = _drain_lanes(lanes)
-                acc = drained if acc is None else acc + drained
+                acc += lanes.sum(axis=-1, dtype=np.int32)
                 lanes.fill(0)
                 pending = 0
     if pending:
-        drained = _drain_lanes(lanes)
-        acc = drained if acc is None else acc + drained
+        acc += lanes.sum(axis=-1, dtype=np.int32)
     return acc
 
 
@@ -294,17 +300,22 @@ def conv_fused(
     if tile_rows is None:
         tile_rows = default_tile_rows(x_prev.dims, k, spec)
     tile_rows = max(1, min(tile_rows, oh))
-    bias = np.int32(2 * k.pad_correction + fh * fw * cin)
-    kinv = np.bitwise_not(k.words)
+    # A site that fits one word is held in the narrowest unsigned word that
+    # holds its channels; the word's high bits are pad matches, as in uint64.
+    word = np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
+    lane_bits = 8 * word.itemsize
+    bias = np.int32(2 * fh * fw * (wps * lane_bits - cin) + fh * fw * cin)
+    kinv = np.bitwise_not(k.words.astype(word))
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
     def run_tile(y0, y1):
         r0, r1 = y0 * sh, (y1 - 1) * sh + fh  # padded input row range
-        buf = np.zeros((n, r1 - r0, w + 2 * pw, wps), dtype=np.uint64)
+        buf = np.zeros((n, r1 - r0, w + 2 * pw, wps), dtype=word)
         lo, hi = max(r0, ph), min(r1, ph + h)
         if hi > lo:
             rows = x_prev.values[:, lo - ph : hi - ph, :, :]
             bits = (rows >= 0) if thr is None else threshold_bits(rows, thr)
+            # narrowing drops only zero channel-pad bits
             buf[:, lo - r0 : hi - r0, pw : pw + w, :] = pack_bitplanes(bits)
         acc = _tile_matches(buf, kinv, fh, fw, sh, sw, y1 - y0, ow)
         acc *= 2

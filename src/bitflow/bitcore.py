@@ -1,4 +1,4 @@
-"""Bit-packed tensor storage and the byte-count fold every kernel uses.
+"""Bit-packed tensor storage and the staged kernel's byte-count fold.
 
 Packing convention, shared by every module in this package:
 
@@ -15,9 +15,9 @@ cancels that fixed bias, which keeps the convolution inner loops branch
 free. Words are fixed at 64 bits and serialize little-endian, so packed
 tensors are bit-exact across platforms.
 
-:func:`byte_counts` is the package's one population-count primitive: it
-turns every byte of a word into its set-bit count, and the convolution
-kernels sum those byte counts in narrow lanes.
+:func:`byte_counts` is the staged convolution's population count: it
+turns every byte of a word into its set-bit count. The fused kernel counts
+with ``np.bitwise_count`` instead (see :mod:`bitflow.binconv`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ WORD_BITS = 64
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-
-_BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
 
 # Refuse shapes whose element count could overflow intermediate buffers.
 _MAX_ELEMENTS = 1 << 40
@@ -147,31 +145,29 @@ def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
 
     The last axis is the channel axis; it is zero-padded up to a word
     multiple. Returns an array with the last axis replaced by
-    words_per_pixel(channels).
+    words_per_pixel(channels). Bytes come out of ``np.packbits`` in
+    little-endian word order, so viewing them as ``<u8`` gives the same
+    words on any host.
     """
     bits = np.asarray(bits)
     lead, c = bits.shape[:-1], bits.shape[-1]
-    wps = words_per_pixel(c)
-    bits = bits.astype(np.uint8, copy=False)
-    if c % WORD_BITS:
-        padded = np.zeros(lead + (wps * WORD_BITS,), dtype=np.uint8)
-        padded[..., :c] = bits
-        bits = padded
-    grouped = np.packbits(
-        bits.reshape(lead + (wps, WORD_BITS)), axis=-1, bitorder="little"
-    )
-    return (grouped.astype(np.uint64) << _BYTE_SHIFTS).sum(axis=-1, dtype=np.uint64)
+    if c % 8:
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+    else:
+        # whole bytes per pixel: one flat pack skips packbits' per-row cost
+        packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(lead + (c // 8,))
+    nbytes = words_per_pixel(c) * (WORD_BITS // 8)
+    if packed.shape[-1] != nbytes:
+        padded = np.zeros(lead + (nbytes,), dtype=np.uint8)
+        padded[..., : packed.shape[-1]] = packed
+        packed = padded
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_bitplanes(words: np.ndarray, channels: int) -> np.ndarray:
     """Inverse of :func:`pack_bitplanes`; returns uint8 bits, last axis = channels."""
-    words = np.asarray(words, dtype=np.uint64)
-    lead, wps = words.shape[:-1], words.shape[-1]
-    as_bytes = ((words[..., None] >> _BYTE_SHIFTS) & np.uint64(0xFF)).astype(np.uint8)
-    bits = np.unpackbits(
-        as_bytes.reshape(lead + (wps * 8,)), axis=-1, bitorder="little"
-    )
-    return bits[..., :channels]
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :channels]
 
 
 def pack_activations(x: np.ndarray) -> BitPlaneTensor:

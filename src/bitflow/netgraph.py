@@ -19,7 +19,8 @@ and padding (u32 x4), packed kernel words (u64), and the block's tables;
 a CRC-32 of everything before it closes the file. The CRC is checked
 before any parsing, so every single-byte corruption is rejected. Kernel
 words with a set channel-pad bit are rejected too: the match count
-assumes those bits are zero.
+assumes those bits are zero. So is spatial padding as large as the
+filter, which only bloats the output with all-pad sites.
 """
 
 from __future__ import annotations
@@ -349,6 +350,8 @@ def _read_block(cur: _Cursor):
         wps = words_per_pixel(cin) if cin else 0
         if min(out, fh, fw, cin) <= 0:
             raise ValueError(f"bad kernel dims {(out, fh, fw, cin)}")
+        if ph >= fh or pw >= fw:
+            raise ValueError(f"padding {(ph, pw)} must be below the filter size {(fh, fw)}")
         nwords = out * fh * fw * wps
         words = (
             np.frombuffer(cur.take(nwords * 8), dtype="<u8")

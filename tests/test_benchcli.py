@@ -184,6 +184,39 @@ class TestCli:
                      "--model", str(path)]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 5
 
+    def test_validate_model_catches_fused_fault(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(13)
+        blk = netgraph.VggBlock(
+            benchcli.pack_weights(rng.standard_normal((4, 3, 3, 5))),
+            benchcli.ConvSpec(spatial_pad=(1, 1)),
+        )
+        path = tmp_path / "m.bdf"
+        netgraph.save_model(netgraph.Model([blk]), path)
+        real = netgraph.conv_fused
+
+        def flip_one(*args, **kwargs):
+            v = real(*args, **kwargs).values.copy()
+            v[0, 0, 0, 0] = -127 if v[0, 0, 0, 0] > 0 else 127
+            return benchcli.I8FeatureMap(v)
+
+        monkeypatch.setattr(netgraph, "conv_fused", flip_one)
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] model-file" in out and "staged path" in out
+
+    def test_validate_model_that_cannot_run_fails_cleanly(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        fm = netgraph.Model([netgraph.FloatBlock(
+            benchcli.pack_weights(rng.standard_normal((4, 3, 3, 5))),
+            benchcli.ConvSpec(spatial_pad=(1, 1)),
+        )])
+        path = tmp_path / "f.bdf"
+        netgraph.save_model(fm, path)
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        assert "does not run" in capsys.readouterr().out
+
     def test_validate_detects_injected_fault(self, monkeypatch, capsys):
         import dataclasses
 

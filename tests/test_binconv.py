@@ -14,7 +14,11 @@ from bitflow.binconv import (
     staged_conv_i8,
 )
 from bitflow.bitcore import I8FeatureMap, pack_activations, pack_weights
-from bitflow.bnquant import BNParams, compute_threshold
+from bitflow.bnquant import LE, BNParams, ThresholdParams, compute_threshold
+
+# every narrow word width (8/16/32/64 bits) at and just past its capacity,
+# plus a two-word site
+EDGE_CHANNELS = [1, 7, 8, 9, 16, 17, 32, 33, 64, 65]
 
 
 def perelement_conv(a, w, spec):
@@ -57,6 +61,17 @@ def random_case(rng, max_c=64, max_hw=10, max_out=6):
     a = rng.choice([-1, 1], size=(n, h, w, cin)).astype(np.int8)
     kw = rng.choice([-1, 1], size=(out, fh, fw, cin)).astype(np.int8)
     return a, kw, spec
+
+
+def oracle_i8(vals, thr, w, spec):
+    """Binarize by sign or by the two-comparison threshold definition, then
+    run the dense oracle and clamp."""
+    if thr is None:
+        bits = vals >= 0
+    else:
+        bits = np.where(thr.direction == LE, vals <= thr.tau, vals >= thr.tau)
+    a = np.where(bits, 1, -1).astype(np.int8)
+    return np.clip(conv_float_oracle(a, w, spec).values, -127, 127)
 
 
 class TestOracle:
@@ -266,8 +281,7 @@ class TestConvFused:
 
     @pytest.mark.parametrize("tile_rows", [1, None])
     def test_many_taps_all_match(self, tile_rows):
-        # the toy-VGG accumulator's 8x8 stride-8 filter has 64 taps; every
-        # byte lane gains 8 per tap, so lanes must drain before the 32nd
+        # the toy-VGG accumulator's 8x8 stride-8 filter: 64 taps, one channel
         x = I8FeatureMap(np.ones((2, 16, 16, 1), dtype=np.int8))
         k = pack_weights(np.ones((3, 8, 8, 1)))
         spec = ConvSpec(stride=(8, 8))
@@ -288,3 +302,46 @@ class TestConvFused:
             for t in (thr, None):
                 fused = conv_fused(x, t, k, spec, tile_rows=tile_rows)
                 assert np.array_equal(fused.values, staged_conv_i8(x, t, k, spec).values)
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("cin", EDGE_CHANNELS)
+    def test_word_widths_match_staged_and_oracle(self, tile_rows, cin):
+        rng = np.random.default_rng(100 + cin)
+        vals = rng.integers(-127, 128, size=(2, 7, 6, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        w = rng.choice([-1, 1], size=(5, 3, 3, cin)).astype(np.int8)
+        k = pack_weights(w)
+        spec = ConvSpec(stride=(2, 1), spatial_pad=(1, 1))
+        for thr in (None, self._random_threshold(rng, cin)):
+            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+            assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
+            assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("cin", EDGE_CHANNELS)
+    def test_word_widths_all_ones(self, tile_rows, cin):
+        # every channel of every tap matches (or none does): +-25*cin, clamped
+        x = I8FeatureMap(np.ones((1, 6, 6, cin), dtype=np.int8))
+        spec = ConvSpec()
+        for sign in (1, -1):
+            w = sign * np.ones((2, 5, 5, cin), dtype=np.int8)
+            k = pack_weights(w)
+            fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+            assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
+            assert np.array_equal(fused, oracle_i8(x.values, None, w, spec))
+            assert (fused == np.clip(sign * 25 * cin, -127, 127)).all()
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    def test_more_taps_than_one_lane_drain(self, tile_rows):
+        # a 1x1100 filter over 64 channels: 70,400 matches per site overflow
+        # a uint16 lane unless it drains every 1023 taps
+        x = I8FeatureMap(np.ones((1, 1, 1100, 64), dtype=np.int8))
+        w = np.ones((2, 1, 1100, 64), dtype=np.int8)
+        k = pack_weights(w)
+        spec = ConvSpec()
+        always = ThresholdParams(np.full(64, -3, dtype=np.int16), np.zeros(64, dtype=np.uint8))
+        for thr in (None, always):
+            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+            assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
+            assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
+            assert (fused == 127).all()

@@ -8,6 +8,7 @@ from bitflow.bitcore import (
     BitPlaneTensor,
     pack_activations,
     byte_counts,
+    pack_bitplanes,
     pack_weights,
     unpack_bits,
     unpack_weights,
@@ -60,6 +61,19 @@ class TestPacking:
         k = pack_weights(w)
         want = np.where(w >= 0, 1, -1).astype(np.int8)
         assert np.array_equal(unpack_weights(k), want)
+
+    @pytest.mark.parametrize("channels", [1, 8, 63, 64, 65, 130])
+    def test_pack_bitplanes_matches_per_bit_oracle(self, channels):
+        rng = np.random.default_rng(channels)
+        bits = rng.integers(0, 2, size=(2, 3, channels)).astype(bool)
+        got = pack_bitplanes(bits)
+        assert got.dtype == np.uint64
+        assert got.shape == (2, 3, words_per_pixel(channels))
+        for idx in np.ndindex(2, 3):
+            want = [0] * words_per_pixel(channels)
+            for c in range(channels):
+                want[c // 64] |= int(bits[idx + (c,)]) << (c % 64)
+            assert [int(v) for v in got[idx]] == want
 
     def test_all_ones_sets_every_unpadded_bit(self):
         t = pack_activations(np.ones((1, 2, 2, 10)))

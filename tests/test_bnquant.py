@@ -18,6 +18,8 @@ from bitflow.bnquant import (
     qformat_fit,
     quantize_bn,
     quantize_values,
+    threshold_bits,
+    ThresholdParams,
 )
 
 
@@ -109,6 +111,16 @@ class TestThresholdEquivalence:
             got = unpack_bits(apply_threshold(x, t)).reshape(255, 25)
             ref = np.where(bn_float(x.values, p) >= 0, 1, -1)
             assert np.array_equal(got, ref.reshape(255, 25))
+
+    def test_one_compare_matches_two_comparison_definition(self):
+        # every tau in [-128, 128] in both directions, every int8 input
+        tau = np.repeat(np.arange(-128, 129, dtype=np.int16), 2)
+        direction = np.tile(np.array([GE, LE], dtype=np.uint8), 257)
+        x = np.arange(-127, 128, dtype=np.int8)[:, None]
+        got = threshold_bits(x, ThresholdParams(tau, direction))
+        want = np.where(direction == LE, x <= tau, x >= tau)
+        assert got.shape == (255, 514)
+        assert np.array_equal(got, want)
 
     def test_exact_tie_at_zero(self):
         # bn(1) == 0 exactly; sign(0) = +1 must hold on both routes

@@ -340,6 +340,18 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="pad bits"):
             model_from_bytes(bytes(buf))
 
+    @pytest.mark.parametrize("field,value", [(25, 3), (29, 3), (25, 1 << 30)])
+    def test_padding_not_below_filter_rejected(self, field, value):
+        blk = VggBlock(pack_weights(np.ones((1, 3, 3, 4))), ConvSpec(spatial_pad=(2, 2)))
+        buf = bytearray(model_to_bytes(Model([blk])))
+        model_from_bytes(bytes(buf))
+        # block header after the 8-byte file header: tag, out, fh, fw, cin,
+        # sh, sw at offsets 0-24, then ph at 25 and pw at 29
+        struct.pack_into("<I", buf, 8 + field, value)
+        buf[-4:] = struct.pack("<I", zlib.crc32(bytes(buf[:-4])))
+        with pytest.raises(ModelFormatError, match="padding"):
+            model_from_bytes(bytes(buf))
+
     def test_single_byte_corruption_detected(self):
         rng = np.random.default_rng(17)
         model, _ = convert_model(float_vgg_model(rng), "vgg-threshold")
