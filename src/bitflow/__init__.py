@@ -2,8 +2,9 @@
 
 Submodules:
 
-* ``bitcore``: bit-packed tensors and the byte-count fold, the one popcount primitive
+* ``bitcore``: bit-packed tensors and the byte-count fold of the staged kernel
 * ``binconv``: binary direct convolution (exact 32-bit and clipped 8-bit)
+  and the dense +-1 oracle
 * ``bnquant``: batch-norm math, threshold reduction, fixed-point quantization
 * ``netgraph``: composable blocks, model execution, model file format
 * ``trainkit``: desk-scale two-stage training of clipped binary networks

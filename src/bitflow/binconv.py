@@ -18,6 +18,9 @@ Two output paths share that accumulation:
 the input; tiling and worker count are pure performance knobs and never
 change results.
 
+The dense reference ``conv_float_oracle`` is one float32 GEMM over
+:func:`im2col` rows, the same rows training multiplies.
+
 The staged kernel counts matches with :func:`bitcore.byte_counts` and
 widens every tap to int32. The fused kernel counts with
 ``np.bitwise_count``, adds the counts into uint16 lanes across taps and
@@ -346,30 +349,41 @@ def staged_conv_i8(
     return conv_i8(packed, k, spec, threads)
 
 
-def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32FeatureMap:
-    """Textbook dense direct convolution of +-1 tensors, for small shapes.
+def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec) -> np.ndarray:
+    """Receptive fields of an NHWC tensor as (n, oh, ow, fh*fw*c) float32
+    rows padded with -1, taps in the (i, j, channel) order of a kernel."""
+    n, h, w, c = a.shape
+    _, oh, ow, _ = output_shape(a.shape, (1, fh, fw, c), spec)
+    sh, sw = spec.stride
+    ph, pw = spec.spatial_pad
+    ap = np.full((n, h + 2 * ph, w + 2 * pw, c), float(PAD_VALUE), dtype=np.float32)
+    ap[:, ph : ph + h, pw : pw + w, :] = a
+    cols = np.empty((n, oh, ow, fh, fw, c), dtype=np.float32)
+    for i in range(fh):
+        for j in range(fw):
+            cols[:, :, :, i, j] = ap[
+                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
+            ]
+    return cols.reshape(n, oh, ow, fh * fw * c)
 
-    Ground truth for the packed paths; pads with -1 like the engine.
+
+def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32FeatureMap:
+    """Dense convolution of +-1 tensors: the im2col rows times the
+    flattened kernel, one float32 GEMM.
+
+    Ground truth for the packed paths; pads with -1 like the engine. float32
+    holds every integer below 2**24, so sums of fewer taps are exact in any
+    order; larger kernels raise ``ValueError``.
     """
     a = np.asarray(a)
     w = np.asarray(w)
+    output_shape(a.shape, w.shape, spec)
+    out, fh, fw, cin = w.shape
+    if fh * fw * cin >= 1 << 24:
+        raise ValueError(
+            f"oracle is exact below 2**24 taps, got {fh}x{fw}x{cin} = {fh * fw * cin}"
+        )
     if not (np.isin(a, (-1, 1)).all() and np.isin(w, (-1, 1)).all()):
         raise ValueError("oracle operands must be +-1 valued")
-    n, oh, ow, out = output_shape(a.shape, w.shape, spec)
-    _, fh, fw, _ = w.shape
-    sh, sw = spec.stride
-    ph, pw = spec.spatial_pad
-    ap = np.full(
-        (n, a.shape[1] + 2 * ph, a.shape[2] + 2 * pw, a.shape[3]),
-        float(PAD_VALUE),
-        dtype=np.float64,
-    )
-    ap[:, ph : ph + a.shape[1], pw : pw + a.shape[2], :] = a
-    acc = np.zeros((n, oh, ow, out), dtype=np.float64)
-    for i in range(fh):
-        for j in range(fw):
-            slab = ap[
-                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-            ]
-            acc += np.tensordot(slab, w[:, i, j, :], axes=([3], [1]))
-    return I32FeatureMap(acc.astype(np.int32))
+    wmat = w.reshape(out, -1).T.astype(np.float32)
+    return I32FeatureMap((im2col(a, fh, fw, spec) @ wmat).astype(np.int32))

@@ -259,6 +259,19 @@ def _fits_i16(ints: np.ndarray) -> bool:
     return bool((ints >= _I16_MIN).all() and (ints <= _I16_MAX).all())
 
 
+def _fit_i16(vectors, overflow: str) -> tuple[QFormat, list]:
+    """Quantize vectors in one fitted format, re-fitting with one more
+    integer bit while rounding at the range boundary overflows 16 bits."""
+    fmt = qformat_fit(vectors)
+    while True:
+        ints = [quantize_values(v, fmt) for v in vectors]
+        if all(_fits_i16(i) for i in ints):
+            return fmt, ints
+        if fmt.range_bits >= 15:
+            raise OverflowError(overflow)
+        fmt = QFormat(fmt.range_bits + 1)
+
+
 def quantize_bn(p: BNParams) -> tuple[QBNParams, BNParams]:
     """Quantize BN parameters to shared 16-bit fixed point.
 
@@ -267,15 +280,8 @@ def quantize_bn(p: BNParams) -> tuple[QBNParams, BNParams]:
     boundary overflows 16 bits, the format is re-fit with one more
     integer bit.
     """
-    variables = [p.gamma, p.beta, p.mu, p.sigma]
-    fmt = qformat_fit(variables)
-    while True:
-        ints = [quantize_values(v, fmt) for v in variables]
-        if all(_fits_i16(i) for i in ints):
-            break
-        if fmt.range_bits >= 15:
-            raise OverflowError("batch-norm parameter exceeds 16-bit fixed point")
-        fmt = QFormat(fmt.range_bits + 1)
+    params = [p.gamma, p.beta, p.mu, p.sigma]
+    fmt, ints = _fit_i16(params, "batch-norm parameter exceeds 16-bit fixed point")
     gamma_q, beta_q, mu_q, sigma_q = ints
     if (sigma_q == 0).any():
         # keep sigma positive at one LSB so the fold stays finite
@@ -296,15 +302,7 @@ def quantize_bn(p: BNParams) -> tuple[QBNParams, BNParams]:
     )
     m = noisy.gamma / noisy.sigma
     c = noisy.beta - noisy.gamma * noisy.mu / noisy.sigma
-    deploy_fmt = qformat_fit([m, c])
-    while True:
-        m_q = quantize_values(m, deploy_fmt)
-        c_q = quantize_values(c, deploy_fmt)
-        if _fits_i16(m_q) and _fits_i16(c_q):
-            break
-        if deploy_fmt.range_bits >= 15:
-            raise OverflowError("folded multiplier/bias exceeds 16-bit fixed point")
-        deploy_fmt = QFormat(deploy_fmt.range_bits + 1)
+    deploy_fmt, (m_q, c_q) = _fit_i16([m, c], "folded multiplier/bias exceeds 16-bit fixed point")
 
     qbn = QBNParams(
         fmt,

@@ -13,9 +13,9 @@ quantizes batch-norm layers one at a time (fit a shared 16-bit format,
 inject the quantization noise, freeze, retrain the rest).
 
 Everything is seeded and single-worker: one seed reproduces loss curves
-bit for bit. Convolutions run as im2col matmuls over +-1 values padded
-with -1, so they are exact in float32 and agree with the packed integer
-engine wherever both apply.
+bit for bit. Convolutions run as :func:`binconv.im2col` matmuls over +-1
+values padded with -1, so they are exact in float32 and agree with the
+packed integer engine wherever both apply.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binconv import ConvSpec
+from .binconv import ConvSpec, conv_float_oracle, im2col
 from .bitcore import I8FeatureMap, pack_weights
 from .bnquant import BNParams, QBNParams, bn_q_forward, compute_threshold, quantize_bn
 from .netgraph import FloatBlock, Model, ResnetBlock, VggBlock
@@ -68,32 +68,34 @@ def clip_i8_surrogate(x):
     return values, mask
 
 
-_SURROGATES = {
-    "sign": (lambda x: np.clip(x, -1.0, 1.0), lambda x: np.abs(x) <= 1.0, (0.99, 1.01)),
-    "clip": (
-        lambda x: np.clip(x, -127.0, 127.0),
-        lambda x: np.abs(x) <= 127.0,
-        (126.0, 128.0),
-    ),
-}
+def _hard_tanh(x):
+    """The function whose derivative ``ste_sign``'s mask stands for."""
+    return np.clip(x, -1.0, 1.0), ste_sign(x)[1]
+
+
+# finite differences skip this band of |x| around each op's clamp corners
+_KINK_BANDS = {"sign": (0.99, 1.01), "clip": (126.0, 128.0)}
 
 
 def grad_check(op: str, points, step: float = 1e-4) -> dict:
     """Central finite differences of a surrogate forward vs its mask.
 
-    Points inside the kink band around the clamp corners are skipped; the
-    report carries the worst absolute error over the rest.
+    The forward and the mask come from ``ste_sign`` and
+    ``clip_i8_surrogate``, the ops ``_forward`` trains with. Points inside
+    the kink band around the clamp corners are skipped; the report carries
+    the worst absolute error over the rest.
     """
-    if op not in _SURROGATES:
+    if op not in _KINK_BANDS:
         raise ValueError(f"unknown surrogate {op!r}")
-    fwd, mask_fn, band = _SURROGATES[op]
+    surrogate = _hard_tanh if op == "sign" else clip_i8_surrogate
+    band = _KINK_BANDS[op]
     pts = np.asarray(points, dtype=np.float64).ravel()
     keep = (np.abs(pts) < band[0]) | (np.abs(pts) > band[1])
     pts = pts[keep]
     if pts.size == 0:
         return {"op": op, "checked": 0, "max_abs_err": 0.0}
-    fd = (fwd(pts + step) - fwd(pts - step)) / (2.0 * step)
-    err = np.abs(fd - mask_fn(pts).astype(np.float64))
+    fd = (surrogate(pts + step)[0] - surrogate(pts - step)[0]) / (2.0 * step)
+    err = np.abs(fd - surrogate(pts)[1].astype(np.float64))
     return {"op": op, "checked": int(pts.size), "max_abs_err": float(err.max())}
 
 
@@ -336,38 +338,19 @@ def init_state(task: ToyTask) -> TrainState:
 # -- conv plumbing -----------------------------------------------------------
 
 
-def _conv_geometry(in_shape, fh, fw, sh, sw, ph, pw):
-    n, h, w, _ = in_shape
-    return (h + 2 * ph - fh) // sh + 1, (w + 2 * pw - fw) // sw + 1
-
-
-def _im2col(a, fh, fw, sh, sw, ph, pw):
-    n, h, w, c = a.shape
-    oh, ow = _conv_geometry(a.shape, fh, fw, sh, sw, ph, pw)
-    ap = np.full((n, h + 2 * ph, w + 2 * pw, c), -1.0, dtype=np.float32)
-    ap[:, ph : ph + h, pw : pw + w, :] = a
-    cols = np.empty((n, oh, ow, fh * fw * c), dtype=np.float32)
-    t = 0
-    for i in range(fh):
-        for j in range(fw):
-            cols[..., t * c : (t + 1) * c] = ap[
-                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-            ]
-            t += 1
-    return cols
-
-
-def _col2im(dcols, in_shape, fh, fw, sh, sw, ph, pw):
+def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
+    """Adjoint of :func:`binconv.im2col`: add row gradients back onto the
+    input positions they were read from (padding is dropped)."""
     n, h, w, c = in_shape
-    oh, ow = _conv_geometry(in_shape, fh, fw, sh, sw, ph, pw)
+    _, oh, ow, _ = dcols.shape
+    (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
     dap = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
-    t = 0
+    taps = dcols.reshape(n, oh, ow, fh, fw, c)
     for i in range(fh):
         for j in range(fw):
             dap[
                 :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-            ] += dcols[..., t * c : (t + 1) * c]
-            t += 1
+            ] += taps[:, :, :, i, j]
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
@@ -407,13 +390,10 @@ def _forward(state: TrainState, x, training: bool):
     h = np.where(x >= 0, 1.0, -1.0).astype(np.float32) if resnet else x
     caches = []
     for blk in state.blocks:
-        fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-        spec = blk.spec
-        (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
         a, amask = ste_sign(h)
         wb, wmask = ste_sign(blk.weight)
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
-        cols = _im2col(a, fh, fw, sh, sw, ph, pw)
+        cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
         f = cols @ wmat
         if clip_on:
             fc, cmask = clip_i8_surrogate(f)
@@ -491,9 +471,6 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         else:
             dfc = dy
         df = dfc * cache["cmask"] if cache["cmask"] is not None else dfc
-        fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-        spec = blk.spec
-        (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
         k = cache["wmat"].shape[0]
         o = blk.weight.shape[0]
         dwmat = cache["cols"].reshape(-1, k).T @ df.reshape(-1, o)
@@ -501,7 +478,8 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         grads[("weight", bi)] = dw.astype(np.float32)
         if bi > 0 or resnet:
             dcols = df @ cache["wmat"].T
-            da = _col2im(dcols, cache["h_in"].shape, fh, fw, sh, sw, ph, pw)
+            fh, fw = blk.weight.shape[1], blk.weight.shape[2]
+            da = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
             dh_prev = da * cache["amask"]
             if resnet:
                 dh_prev = dh_prev + dshort
@@ -669,16 +647,14 @@ def head_logits(state: TrainState, trunk_values) -> np.ndarray:
 def _integer_trunk(state: TrainState, x) -> np.ndarray:
     """Deployment-arithmetic forward pass for a quantized residual model.
 
-    Convolutions run as exact +-1 im2col matmuls (independent of the
-    packed engine), batch norm as the 16-bit integer multiply-add.
+    Convolutions run on the dense oracle (independent of the packed
+    engine), batch norm as the 16-bit integer multiply-add.
     """
     h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
     for blk in state.blocks:
-        fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-        (sh, sw), (ph, pw) = blk.spec.stride, blk.spec.spatial_pad
-        a = np.where(h.values >= 0, 1.0, -1.0).astype(np.float32)
-        wb = np.where(blk.weight >= 0, 1.0, -1.0).astype(np.float32)
-        f = _im2col(a, fh, fw, sh, sw, ph, pw) @ wb.reshape(wb.shape[0], -1).T
+        a = np.where(h.values >= 0, 1, -1).astype(np.int8)
+        wb = np.where(blk.weight >= 0, 1, -1).astype(np.int8)
+        f = conv_float_oracle(a, wb, blk.spec).values
         conv = I8FeatureMap(np.clip(f, -127, 127).astype(np.int8))
         z = bn_q_forward(conv, blk.bn.qbn)
         summed = z.values.astype(np.int16) + h.values.astype(np.int16)

@@ -2,7 +2,9 @@
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s`` or in the
 captured output). Training-based criteria share module-scoped runs of the
-seeded toy tasks.
+seeded toy tasks. The equivalence criteria (1/2, 3, 5, 10) run the
+``benchcli`` sweeps that ``bitflow validate --sizes full`` runs, each on a
+fresh ``default_rng(SEED)``.
 """
 
 import time
@@ -13,8 +15,6 @@ import pytest
 
 from bitflow import benchcli, bnquant, netgraph
 from bitflow import trainkit as tk
-from bitflow.binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
-from bitflow.bitcore import I8FeatureMap, pack_activations, pack_weights, unpack_bits
 
 SEED = 0xB17F10
 
@@ -30,41 +30,9 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def conv_sweep():
-    rng = np.random.default_rng(SEED)
-    stats = {
-        "configs": 0,
-        "exact_mismatches": 0,
-        "clamp_mismatches": 0,
-        "minus_128_seen": 0,
-        "parity_violations": 0,
-    }
     t0 = time.time()
-    for _ in range(1000):
-        fh = int(rng.choice([1, 3, 5]))
-        fw = int(rng.choice([1, 3, 5]))
-        h = int(rng.integers(fh, 17))
-        w = int(rng.integers(fw, 17))
-        cin = int(rng.integers(1, 257))
-        cout = int(rng.integers(1, 7))
-        spec = ConvSpec(
-            (int(rng.integers(1, 3)), int(rng.integers(1, 3))),
-            (int(rng.integers(0, 2)), int(rng.integers(0, 2))),
-        )
-        a = rng.choice([-1, 1], size=(1, h, w, cin)).astype(np.int8)
-        wt = rng.choice([-1, 1], size=(cout, fh, fw, cin)).astype(np.int8)
-        x, k = pack_activations(a), pack_weights(wt)
-        wide = conv_i32(x, k, spec).values
-        want = conv_float_oracle(a, wt, spec).values
-        narrow = conv_i8(x, k, spec).values
-        stats["configs"] += 1
-        stats["exact_mismatches"] += int(not np.array_equal(wide, want))
-        stats["clamp_mismatches"] += int(
-            not np.array_equal(narrow, np.clip(wide, -127, 127))
-        )
-        stats["minus_128_seen"] += int(narrow.min() < -127)
-        stats["parity_violations"] += int(np.any(wide % 2 != (fh * fw * cin) % 2))
-    stats["elapsed"] = time.time() - t0
-    return stats
+    result = benchcli.conv_sweep(np.random.default_rng(SEED), 1000)
+    return result, time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -102,57 +70,35 @@ def resnet_runs():
 
 
 def test_criterion_01_conv_exactness(conv_sweep):
-    ok = conv_sweep["exact_mismatches"] == 0 and conv_sweep["elapsed"] < 60
+    result, elapsed = conv_sweep
+    ok = result.ok and result.checked == 1000 and elapsed < 60
     report(
         1,
         ok,
-        f"conv_i32 == dense oracle on {conv_sweep['configs']} configs, "
-        f"{conv_sweep['exact_mismatches']} mismatches, "
-        f"{conv_sweep['elapsed']:.1f}s (< 60s); "
-        f"parity violations {conv_sweep['parity_violations']}",
+        f"conv_i32 == dense oracle with the parity law on {result.checked} configs, "
+        f"{elapsed:.1f}s (< 60s); {result.failure or 'no mismatch'}",
     )
 
 
 def test_criterion_02_clamp_law(conv_sweep):
-    ok = conv_sweep["clamp_mismatches"] == 0 and conv_sweep["minus_128_seen"] == 0
+    result, _ = conv_sweep
+    ok = result.ok and result.checked == 1000
     report(
         2,
         ok,
-        f"conv_i8 == clamp(conv_i32) on {conv_sweep['configs']} configs, "
-        f"{conv_sweep['clamp_mismatches']} mismatches, "
-        f"-128 observed {conv_sweep['minus_128_seen']} times",
+        f"conv_i8 == clamp(conv_i32), so -128 never appears, on {result.checked} "
+        f"configs; {result.failure or 'no mismatch'}",
     )
 
 
 def test_criterion_03_threshold_equivalence():
-    rng = np.random.default_rng(SEED)
-    grid = np.arange(-127, 128, dtype=np.int8)
-    total = mismatches = 0
-    pos_gamma = neg_gamma = 0
-    for _ in range(20):
-        n = 500
-        gamma = rng.uniform(-10, 10, n)
-        gamma[gamma == 0] = 1.0
-        pos_gamma += int((gamma > 0).sum())
-        neg_gamma += int((gamma < 0).sum())
-        p = bnquant.BNParams(
-            gamma,
-            rng.uniform(-20, 20, n),
-            rng.uniform(-20, 20, n),
-            rng.uniform(0.01, 10, n),
-        )
-        t = bnquant.compute_threshold(p)
-        x = I8FeatureMap(np.tile(grid[None, :, None], (1, 1, n)).reshape(1, 255, 1, n))
-        got = unpack_bits(bnquant.apply_threshold(x, t))
-        ref = np.where(bnquant.bn_float(x.values, p) >= 0, 1, -1).astype(np.int8)
-        total += n
-        mismatches += int((got != ref).any(axis=(0, 1, 2)).sum())
-    ok = mismatches == 0 and total == 10_000 and pos_gamma > 0 and neg_gamma > 0
+    result = benchcli.threshold_sweep(np.random.default_rng(SEED), 10_000)
+    ok = result.ok and result.checked == 10_000
     report(
         3,
         ok,
-        f"{total} parameter sets x 255 exhaustive inputs, {mismatches} mismatching "
-        f"channels ({pos_gamma} positive and {neg_gamma} negative gamma)",
+        f"{result.checked} parameter sets x 255 exhaustive inputs, both gamma "
+        f"signs required; {result.failure or 'no mismatch'}",
     )
 
 
@@ -196,38 +142,14 @@ def test_criterion_04_quantization_properties():
 
 
 def test_criterion_05_fusion_transparency():
-    rng = np.random.default_rng(SEED)
-    configs = mismatches = 0
-    for _ in range(200):
-        h = int(rng.integers(4, 14))
-        w = int(rng.integers(4, 14))
-        cin = int(rng.integers(1, 97))
-        cout = int(rng.integers(1, 7))
-        spec = ConvSpec(
-            (int(rng.integers(1, 3)), 1), (int(rng.integers(0, 2)), 1)
-        )
-        vals = rng.integers(-127, 128, size=(1, h, w, cin)).astype(np.int8)
-        x = I8FeatureMap(vals)
-        k = pack_weights(rng.choice([-1.0, 1.0], size=(cout, 3, 3, cin)))
-        thr = None
-        if rng.random() < 0.5:
-            gamma = rng.uniform(-3, 3, cin)
-            gamma[np.abs(gamma) < 0.05] = 1.0
-            thr = bnquant.compute_threshold(
-                bnquant.BNParams(
-                    gamma,
-                    rng.uniform(-5, 5, cin),
-                    rng.uniform(-20, 20, cin),
-                    rng.uniform(0.5, 5, cin),
-                )
-            )
-        staged = staged_conv_i8(x, thr, k, spec).values
-        configs += 1
-        for tile in (1, 2, 3, None):
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile).values
-            mismatches += int(not np.array_equal(fused, staged))
-    ok = mismatches == 0
-    report(5, ok, f"{configs} configs x 4 tile sizes, {mismatches} mismatches")
+    result = benchcli.fusion_sweep(np.random.default_rng(SEED), 200)
+    ok = result.ok and result.checked == 200 * 4
+    report(
+        5,
+        ok,
+        f"200 configs x 4 tile sizes, {result.checked} checked; "
+        f"{result.failure or 'no mismatch'}",
+    )
 
 
 def test_criterion_06_two_stage_training_proxy(vgg_runs):
@@ -312,36 +234,12 @@ def test_criterion_09_performance():
 
 
 def test_criterion_10_serialization():
-    rng = np.random.default_rng(SEED)
-    roundtrips = corruptions = 0
-    diffs = missed = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for i in range(1000):
-            model = benchcli.random_model(rng)
-            blob = netgraph.model_to_bytes(model)
-            back = netgraph.model_from_bytes(blob)
-            x = rng.standard_normal((1, 6, 6, model.blocks[0].kernel.in_channels))
-            same_bytes = netgraph.model_to_bytes(back) == blob
-            same_out = np.array_equal(
-                netgraph.run_model(model, x).values, netgraph.run_model(back, x).values
-            )
-            roundtrips += 1
-            diffs += int(not (same_bytes and same_out))
-            if i % 5 == 0:
-                bad = bytearray(blob)
-                pos = int(rng.integers(0, len(bad)))
-                bad[pos] ^= 1 << int(rng.integers(0, 8))
-                corruptions += 1
-                try:
-                    netgraph.model_from_bytes(bytes(bad))
-                    missed += 1
-                except netgraph.ModelFormatError:
-                    pass
-    ok = diffs == 0 and missed == 0
+    result = benchcli.serialization_sweep(np.random.default_rng(SEED), 1000)
+    ok = result.ok and result.checked == 1000
     report(
         10,
         ok,
-        f"{roundtrips} save/load roundtrips, {diffs} behavioral diffs; "
-        f"{corruptions} single-byte corruptions, {missed} undetected",
+        f"{result.checked} save/load roundtrips with equal bytes and outputs, "
+        f"a single-bit corruption of every fifth file rejected; "
+        f"{result.failure or 'no failure'}",
     )

@@ -217,6 +217,46 @@ class TestCli:
                      "--model", str(path)]) == 1
         assert "does not run" in capsys.readouterr().out
 
+    def _save(self, tmp_path, *blocks):
+        rng = np.random.default_rng(15)
+        model = netgraph.Model([
+            netgraph.VggBlock(
+                benchcli.pack_weights(rng.standard_normal((cout, f, f, cin))),
+                benchcli.ConvSpec((stride, stride), (pad, pad)),
+            )
+            for cin, cout, f, stride, pad in blocks
+        ])
+        path = tmp_path / "m.bdf"
+        netgraph.save_model(model, path)
+        return model, path
+
+    def test_validate_model_larger_than_default_input(self, tmp_path, capsys):
+        model, path = self._save(tmp_path, (3, 4, 9, 1, 0))
+        assert benchcli.model_input_size(model) == (9, 9)
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] model-file" in out and out.count("[PASS]") == 5
+
+    def test_validate_model_chain_sizes_input(self, tmp_path, capsys):
+        # 5x5 unpadded needs 5 rows; the 3x3 stride-2 pad-1 block ahead of
+        # it needs (5 - 1) * 2 + 3 - 2 = 9
+        model, path = self._save(tmp_path, (2, 3, 3, 2, 1), (3, 4, 5, 1, 0))
+        assert benchcli.model_input_size(model) == (9, 9)
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 0
+        assert "[PASS] model-file" in capsys.readouterr().out
+
+    def test_validate_model_small_filters_keep_8x8(self, tmp_path):
+        model, _ = self._save(tmp_path, (2, 3, 3, 1, 1), (3, 4, 1, 1, 0))
+        assert benchcli.model_input_size(model) == (8, 8)
+
+    def test_validate_model_needing_a_huge_input_fails_cleanly(self, tmp_path, capsys):
+        _, path = self._save(tmp_path, (2, 3, 3, 1 << 20, 0), (3, 4, 3, 1, 0))
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        assert "[FAIL] model-file" in capsys.readouterr().out
+
     def test_validate_detects_injected_fault(self, monkeypatch, capsys):
         import dataclasses
 
@@ -292,6 +332,22 @@ class TestSweeps:
         rng = np.random.default_rng(7)
         result = threshold_sweep(rng, 300)
         assert result.ok
+
+    def test_threshold_sweep_reports_a_flipped_bit(self, monkeypatch):
+        real = benchcli.bnquant.threshold_bits
+
+        def flip_first(values, t):
+            bits = real(values, t)
+            bits.flat[0] = not bits.flat[0]
+            return bits
+
+        monkeypatch.setattr(benchcli.bnquant, "threshold_bits", flip_first)
+        result = threshold_sweep(np.random.default_rng(7), 300)
+        assert not result.ok and result.failure.startswith("channel 0:")
+
+    def test_threshold_sweep_needs_both_gamma_signs(self):
+        result = threshold_sweep(np.random.default_rng(7), 1)
+        assert not result.ok and "both signs" in result.failure
 
     def test_serialization_sweep_passes(self):
         rng = np.random.default_rng(8)

@@ -94,6 +94,16 @@ class TestOracle:
             got = conv_float_oracle(a, w, spec).values
             assert np.array_equal(got, perelement_conv(a, w, spec))
 
+    @pytest.mark.parametrize("fh,fw,cin", [(1, 1, 1 << 24), (4096, 4096, 1), (2, 4096, 2048)])
+    def test_rejects_inexact_tap_counts(self, fh, fw, cin):
+        # 2**24 taps or more could round in float32; broadcast operands
+        # keep the test from allocating them
+        a = np.broadcast_to(np.int8(1), (1, 1, 1, cin))
+        w = np.broadcast_to(np.int8(1), (1, fh, fw, cin))
+        spec = ConvSpec(spatial_pad=(fh // 2, fw // 2))
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            conv_float_oracle(a, w, spec)
+
     def test_rejects_non_binary(self):
         a = np.zeros((1, 2, 2, 1), dtype=np.int8)
         w = np.ones((1, 1, 1, 1), dtype=np.int8)

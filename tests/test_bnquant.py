@@ -210,6 +210,17 @@ class TestQuantizeBN:
         assert qbn.gamma_q[0] == 16384
         assert noisy.gamma[0] == 4.0
 
+    def test_parameter_overflow_raises(self):
+        # 1e6 needs 20 integer bits; the widest format has 15
+        with pytest.raises(OverflowError, match="batch-norm parameter exceeds"):
+            quantize_bn(params(1e6, 0.0, 0.0, 1.0))
+
+    def test_folded_overflow_raises(self):
+        # every parameter fits 15 integer bits, but c = -gamma*mu/sigma
+        # = -4e8 does not
+        with pytest.raises(OverflowError, match="folded multiplier/bias exceeds"):
+            quantize_bn(params(20000.0, 0.0, 20000.0, 1.0))
+
     def test_exactly_representable_params_get_zero_noise(self):
         p = params(1.0, -0.5, 2.0, 1.0)
         qbn, noisy = quantize_bn(p)

@@ -75,6 +75,24 @@ class TestSurrogates:
         report = grad_check("clip", pts)
         assert report["max_abs_err"] <= 1e-6
 
+    @pytest.mark.parametrize(
+        "op,name,wrong_mask",
+        [
+            ("sign", "ste_sign", lambda x: np.abs(x) <= 2.0),
+            ("clip", "clip_i8_surrogate", lambda x: np.abs(x) <= 200.0),
+        ],
+    )
+    def test_grad_check_sees_the_training_masks(self, monkeypatch, op, name, wrong_mask):
+        real = getattr(tk, name)
+
+        def wrong(x):
+            values, _ = real(x)
+            return values, wrong_mask(np.asarray(x)).astype(np.uint8)
+
+        monkeypatch.setattr(tk, name, wrong)
+        pts = np.linspace(-300, 300, 1201) if op == "clip" else np.linspace(-3, 3, 401)
+        assert grad_check(op, pts)["max_abs_err"] > 1e-6
+
     def test_grad_check_unknown_op(self):
         with pytest.raises(ValueError):
             grad_check("tanh", np.zeros(3))
