@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``bitcore``: bit-packed tensors and the byte-count fold of the staged kernel
+* ``bitcore``: bit-packed tensors: packing, unpacking and pad-bit checks
 * ``binconv``: binary direct convolution (exact 32-bit and clipped 8-bit)
   and the dense +-1 oracle
 * ``bnquant``: batch-norm math, threshold reduction, fixed-point quantization

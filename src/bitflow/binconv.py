@@ -3,9 +3,10 @@
 The convolution is computed in place over the packed layout, one filter
 tap at a time, with no im2col/GEMM materialization. Per packed word the
 +-1 dot product reduces to ``2 * match_count - bits_in_word``; summing
-over the receptive field and subtracting the kernel's fixed
-``pad_correction`` yields the exact 32-bit result. Spatial padding uses
-all-zero words, which read as -1 pixels under the bit convention.
+over the receptive field and subtracting one fixed bias per output
+(:func:`_match_bias`, which also cancels the channel-pad matches) yields
+the exact 32-bit result. Spatial padding uses all-zero words, which read
+as -1 pixels under the bit convention.
 
 Two output paths share that accumulation:
 
@@ -21,12 +22,13 @@ change results.
 The dense reference ``conv_float_oracle`` is one float32 GEMM over
 :func:`im2col` rows, the same rows training multiplies.
 
-The staged kernel counts matches with :func:`bitcore.byte_counts` and
-widens every tap to int32. The fused kernel counts with
-``np.bitwise_count``, adds the counts into uint16 lanes across taps and
-sums the word axis to int32 once per drain; a site that fits one word is
-held in the narrowest unsigned word that fits its channels (8, 16, 32 or
-64 bits), so the 8-channel stem XORs and counts bytes, not 64-bit words.
+Both kernels count with ``np.bitwise_count``. The staged kernel counts
+bytes, folds each word's byte counts with one multiply-shift and widens
+every tap to int32. The fused kernel adds the counts into uint16 lanes
+across taps and sums the word axis to int32 once per drain; a site that
+fits one word is held in the narrowest unsigned word that fits its
+channels (8, 16, 32 or 64 bits), so the 8-channel stem XORs and counts
+bytes, not 64-bit words.
 Both kernels split output rows into spans with :func:`_run_row_spans`.
 """
 
@@ -42,7 +44,6 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
-    byte_counts,
     pack_activations,
     pack_bitplanes,
 )
@@ -117,28 +118,25 @@ def _pad_words(words: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-# The multiply-shift horizontal sum only holds totals below 256, so the
-# lane-wise word fold ahead of it is limited to 3 words (3 * 64 <= 192).
-_MULT_FOLD_WORDS = 3
+# Multiplying by this sums a word's eight bytes into its top byte.
 _H8 = np.uint64(0x0101010101010101)
 
 
 def _fold_matches(x: np.ndarray) -> np.ndarray:
-    """Total set bits over the last (word) axis of a uint64 array.
+    """Set bits over the last (word) axis of a uint64 array with contiguous
+    words, counted in place: ``np.bitwise_count`` per byte, one multiply-shift
+    per word (at most 64, so the top byte never overflows), an int32 word sum."""
+    counts = np.bitwise_count(x.view(np.uint8), out=x.view(np.uint8)).view(np.uint64)
+    counts *= _H8
+    counts >>= np.uint64(56)
+    return counts.sum(axis=-1, dtype=np.int32)
 
-    Byte-wise counts first, then either the multiply-shift horizontal sum
-    (narrow folds) or pairwise widening (wide folds, where the total would
-    overflow a byte).
-    """
-    x = byte_counts(x)
-    wps = x.shape[-1]
-    if wps == 1:
-        folded = x[..., 0]
-    elif wps <= _MULT_FOLD_WORDS:
-        folded = x.sum(axis=-1, dtype=np.uint64)
-    else:
-        return _drain_lanes(x)
-    return ((folded * _H8) >> np.uint64(56)).astype(np.int32)
+
+def _match_bias(fh: int, fw: int, cin: int, site_bits: int) -> np.int32:
+    """``2 * matches`` minus the +-1 dot product over fh*fw sites of
+    ``site_bits`` bits: the fh*fw*cin channel bits count once, and the
+    fh*fw*(site_bits - cin) pad bits, which always match, twice."""
+    return np.int32(fh * fw * (2 * site_bits - cin))
 
 
 def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
@@ -157,25 +155,6 @@ def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
             ]
             x = np.bitwise_xor(slab[:, :, :, None, :], kwords_inv[:, i, j, :])
             acc += _fold_matches(x)
-
-
-_L16 = np.uint64(0x00FF00FF00FF00FF)
-_L32 = np.uint64(0x0000FFFF0000FFFF)
-_L64 = np.uint64(0x00000000FFFFFFFF)
-
-
-def _drain_lanes(lanes: np.ndarray) -> np.ndarray:
-    """Sum per-byte lane counts to int32 totals over words.
-
-    Pairwise widening (8 -> 16 -> 32 -> 64 bit lanes) then one final sum
-    across the word axis; the narrow-lane analog of a horizontal add.
-    """
-    t = (lanes & _L16) + ((lanes >> np.uint64(8)) & _L16)
-    t = (t & _L32) + ((t >> np.uint64(16)) & _L32)
-    t = (t & _L64) + (t >> np.uint64(32))
-    if t.shape[-1] == 1:
-        return t[..., 0].astype(np.int32)
-    return t.sum(axis=-1, dtype=np.uint64).astype(np.int32)
 
 
 # A uint16 lane gains at most one word's bits (64) per tap, so up to 1023
@@ -236,7 +215,7 @@ def conv_i32(
     """Exact binary direct convolution.
 
     Every output element is the +-1 dot product over the receptive field,
-    recovered from match counts as 2*(matches - pad_correction) - fh*fw*cin.
+    recovered from match counts as 2*matches - _match_bias(...).
     """
     n, oh, ow, out = output_shape(x.dims, k.dims, spec)
     _, fh, fw, cin = k.dims
@@ -250,8 +229,7 @@ def conv_i32(
         _match_counts(rows, kinv, fh, fw, sh, sw, acc[:, y0:y1])
 
     _run_row_spans(oh, -(-oh // max(threads, 1)), threads, work)
-    bias = np.int32(2 * k.pad_correction + fh * fw * cin)
-    return I32FeatureMap(2 * acc - bias)
+    return I32FeatureMap(2 * acc - _match_bias(fh, fw, cin, WORD_BITS * k.words_per_site))
 
 
 def conv_i8(
@@ -307,7 +285,7 @@ def conv_fused(
     # holds its channels; the word's high bits are pad matches, as in uint64.
     word = np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
     lane_bits = 8 * word.itemsize
-    bias = np.int32(2 * fh * fw * (wps * lane_bits - cin) + fh * fw * cin)
+    bias = _match_bias(fh, fw, cin, lane_bits * wps)
     kinv = np.bitwise_not(k.words.astype(word))
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 

@@ -1,4 +1,4 @@
-"""Bit-packed tensor storage and the staged kernel's byte-count fold.
+"""Bit-packed tensor storage.
 
 Packing convention, shared by every module in this package:
 
@@ -10,14 +10,11 @@ Packing convention, shared by every module in this package:
   final word are always zero.
 
 Because the pad bits are zero in *both* operands of a match count, every
-pad position XNORs to a match. The kernel-side ``pad_correction`` constant
-cancels that fixed bias, which keeps the convolution inner loops branch
-free. Words are fixed at 64 bits and serialize little-endian, so packed
-tensors are bit-exact across platforms.
-
-:func:`byte_counts` is the staged convolution's population count: it
-turns every byte of a word into its set-bit count. The fused kernel counts
-with ``np.bitwise_count`` instead (see :mod:`bitflow.binconv`).
+pad position XNORs to a match. The convolution subtracts that fixed bias
+once per output (``binconv._match_bias``), which keeps its inner loops
+branch free. Words are fixed at 64 bits and serialize little-endian, so
+packed tensors are bit-exact across platforms. Population counts live in
+:mod:`bitflow.binconv`, which counts with ``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
-
-# Masks of the byte-count fold: bit pairs, nibbles, bytes.
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 
 # Refuse shapes whose element count could overflow intermediate buffers.
 _MAX_ELEMENTS = 1 << 40
@@ -59,13 +51,11 @@ class BitPlaneTensor:
     """NHWC activations packed one bit per value along channels.
 
     ``words`` has shape (batch, height, width, words_per_pixel), dtype
-    uint64. ``channel_pad`` counts the zero bits appended to each pixel to
-    round channels up to a word multiple.
+    uint64.
     """
 
     dims: tuple[int, int, int, int]
     words: np.ndarray
-    channel_pad: int
 
     def __post_init__(self):
         self.words.setflags(write=False)
@@ -78,6 +68,11 @@ class BitPlaneTensor:
     def words_per_pixel(self) -> int:
         return self.words.shape[3]
 
+    @property
+    def channel_pad(self) -> int:
+        """Zero bits appended to each pixel to round channels up to words."""
+        return self.words_per_pixel * WORD_BITS - self.channels
+
 
 @dataclass(frozen=True, eq=False)
 class PackedKernelSet:
@@ -85,15 +80,11 @@ class PackedKernelSet:
 
     Memory order is out_channels-major, then filter row, filter column,
     packed input channels, so one (out, fh, fw) site is a contiguous run
-    of words. ``pad_correction`` is the number of channel-pad positions a
-    full receptive field contributes to a match count
-    (filter_h * filter_w * channel_pad).
+    of words.
     """
 
     dims: tuple[int, int, int, int]
     words: np.ndarray
-    channel_pad: int
-    pad_correction: int
 
     def __post_init__(self):
         self.words.setflags(write=False)
@@ -109,6 +100,11 @@ class PackedKernelSet:
     @property
     def words_per_site(self) -> int:
         return self.words.shape[3]
+
+    @property
+    def channel_pad(self) -> int:
+        """Zero bits appended to each site to round channels up to words."""
+        return self.words_per_site * WORD_BITS - self.in_channels
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +176,7 @@ def pack_activations(x: np.ndarray) -> BitPlaneTensor:
     _check_dims(x.shape, ("batch", "height", "width", "channels"))
     if not np.isfinite(x).all():
         raise ValueError("activations must be finite")
-    words = pack_bitplanes(x >= 0)
-    c = x.shape[3]
-    return BitPlaneTensor(tuple(x.shape), words, words_per_pixel(c) * WORD_BITS - c)
+    return BitPlaneTensor(tuple(x.shape), pack_bitplanes(x >= 0))
 
 
 def pack_weights(w: np.ndarray) -> PackedKernelSet:
@@ -191,10 +185,7 @@ def pack_weights(w: np.ndarray) -> PackedKernelSet:
     _check_dims(w.shape, ("out_channels", "filter_h", "filter_w", "in_channels"))
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    words = pack_bitplanes(w >= 0)
-    out, fh, fw, cin = w.shape
-    pad = words_per_pixel(cin) * WORD_BITS - cin
-    return PackedKernelSet(tuple(w.shape), words, pad, fh * fw * pad)
+    return PackedKernelSet(tuple(w.shape), pack_bitplanes(w >= 0))
 
 
 def unpack_bits(t: BitPlaneTensor) -> np.ndarray:
@@ -207,27 +198,6 @@ def unpack_weights(k: PackedKernelSet) -> np.ndarray:
     """Decode a packed kernel set back to an int8 (out, fh, fw, in) tensor of +-1."""
     bits = unpack_bitplanes(k.words, k.in_channels)
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
-
-
-def byte_counts(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Replace every byte of a uint64 array with its set-bit count, in place.
-
-    Three masked folds (bit pairs, nibbles, bytes) leave each byte holding
-    0..8, what a SIMD byte-count instruction produces. ``scratch``, a uint64
-    array of ``v``'s shape, takes the shifted operand so repeated calls
-    allocate nothing. Returns ``v``.
-    """
-    t = np.right_shift(v, np.uint64(1), out=scratch)
-    t &= _M1
-    v -= t
-    np.right_shift(v, np.uint64(2), out=t)
-    t &= _M2
-    v &= _M2
-    v += t
-    np.right_shift(v, np.uint64(4), out=t)
-    v += t
-    v &= _M4
-    return v
 
 
 def _check_pad_bits(words: np.ndarray, channels: int) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitPlaneTensor, I8FeatureMap, pack_bitplanes, words_per_pixel
+from .bitcore import BitPlaneTensor, I8FeatureMap, pack_bitplanes
 
 GE = 0  # emit +1 when x >= tau
 LE = 1  # emit +1 when x <= tau
@@ -216,9 +216,7 @@ def apply_threshold(x: I8FeatureMap, t: ThresholdParams) -> BitPlaneTensor:
         raise ValueError(
             f"threshold channels {t.channels} != feature channels {x.channels}"
         )
-    words = pack_bitplanes(threshold_bits(x.values, t))
-    c = x.channels
-    return BitPlaneTensor(x.dims, words, words_per_pixel(c) * 64 - c)
+    return BitPlaneTensor(x.dims, pack_bitplanes(threshold_bits(x.values, t)))
 
 
 def qformat_fit(values) -> QFormat:

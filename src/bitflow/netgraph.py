@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binconv import ConvSpec, conv_fused, conv_i8, conv_float_oracle
+from .binconv import ConvSpec, conv_fused, conv_i8, conv_float_oracle, output_shape
 from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
@@ -190,7 +190,8 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
 
     The input is binarized by sign into a +-1 8-bit map; blocks then run
     sequentially. The final block must emit an 8-bit map (a terminal VGG
-    block or any ResNet block).
+    block or any ResNet block). Block types, every block's output shape
+    and the final block are checked before the first block runs.
     """
     if not model.blocks:
         raise GraphError("model has no layers")
@@ -199,18 +200,23 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
         raise GraphError(f"input must be NHWC, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise GraphError("input must be finite")
-    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
+    dims = x.shape
     for i, blk in enumerate(model.blocks):
-        if isinstance(blk, VggBlock):
-            h = run_vgg_block(h, blk, threads=threads)
-        elif isinstance(blk, ResnetBlock):
-            h = run_resnet_block(h, blk, threads=threads)
-        elif isinstance(blk, FloatBlock):
+        if isinstance(blk, FloatBlock):
             raise GraphError(f"layer {i} holds float batch norm; convert it first")
-        else:
+        if not isinstance(blk, (VggBlock, ResnetBlock)):
             raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
-    if not isinstance(h, I8FeatureMap):
+        try:
+            dims = output_shape(dims, blk.kernel.dims, blk.spec)
+        except ValueError as exc:
+            raise GraphError(f"layer {i}: {exc}") from exc
+    last = model.blocks[-1]
+    if isinstance(last, VggBlock) and last.thr is not None:
         raise GraphError("model must end with a terminal block emitting 8-bit values")
+    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
+    for blk in model.blocks:
+        run = run_vgg_block if isinstance(blk, VggBlock) else run_resnet_block
+        h = run(h, blk, threads=threads)
     return h
 
 
@@ -359,8 +365,7 @@ def _read_block(cur: _Cursor):
             .reshape(out, fh, fw, wps)
         )
         _check_pad_bits(words, cin)
-        pad = wps * 64 - cin
-        kernel = PackedKernelSet((out, fh, fw, cin), words, pad, fh * fw * pad)
+        kernel = PackedKernelSet((out, fh, fw, cin), words)
         if tag == _TAG_VGG:
             (has_thr,) = cur.unpack("<B")
             if has_thr not in (0, 1):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bitflow import benchcli, netgraph, trainkit
+from bitflow import benchcli, binconv, netgraph, trainkit
 from bitflow.benchcli import (
     BenchConfig,
     conv_sweep,
@@ -79,13 +79,18 @@ class TestBench:
 
     def test_stability_of_seeded_medians(self):
         # identical seeds run identical work; medians agree within timer
-        # jitter (5%) whenever the host itself is that quiet
+        # jitter (5%) whenever the host itself is that quiet. A shared host
+        # has noisy spells; each set of samples takes ~0.2 s, so up to 20
+        # sets wait a few seconds for a quiet one before skipping.
         cfg = tiny_config(height=14, width=14, c_in=128, c_out=32, repeats=15, warmup=3)
-        samples = [
-            run_bench([cfg], ["i8-fused"], seed=3).rows[0].median_us for _ in range(4)
-        ]
-        floor = (max(samples) - min(samples)) / max(samples)
-        if floor > 0.05:
+        for _ in range(20):
+            samples = [
+                run_bench([cfg], ["i8-fused"], seed=3).rows[0].median_us for _ in range(4)
+            ]
+            floor = (max(samples) - min(samples)) / max(samples)
+            if floor <= 0.05:
+                break
+        else:
             pytest.skip(f"host timing noise {floor:.1%} exceeds the 5% budget")
         a, b = samples[:2]
         assert abs(a - b) / max(a, b) <= 0.05
@@ -258,15 +263,12 @@ class TestCli:
         assert "[FAIL] model-file" in capsys.readouterr().out
 
     def test_validate_detects_injected_fault(self, monkeypatch, capsys):
-        import dataclasses
+        real = binconv._match_bias
 
-        real = benchcli.bitcore.pack_weights
+        def off_by_one(*args):
+            return real(*args) + 1
 
-        def off_by_one(w):
-            k = real(w)
-            return dataclasses.replace(k, pad_correction=k.pad_correction + 1)
-
-        monkeypatch.setattr(benchcli.bitcore, "pack_weights", off_by_one)
+        monkeypatch.setattr(binconv, "_match_bias", off_by_one)
         assert main(["validate", "--sizes", "tiny", "--seed", "7"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out and "first diff" in out

@@ -1,13 +1,13 @@
-"""Tests for bit packing, unpacking and the byte-count fold."""
+"""Tests for bit packing, unpacking and the staged kernel's popcount fold."""
 
 import numpy as np
 import pytest
 
 from bitflow import bitcore
+from bitflow.binconv import _fold_matches, _match_bias
 from bitflow.bitcore import (
     BitPlaneTensor,
     pack_activations,
-    byte_counts,
     pack_bitplanes,
     pack_weights,
     unpack_bits,
@@ -27,9 +27,8 @@ def naive_match_count(a, b):
 
 
 def match_count(a, b):
-    """popcount(XNOR(a, b)) summed from the fold's per-byte counts."""
-    xnor = np.bitwise_not(np.bitwise_xor(a, b))
-    return int(byte_counts(xnor).view(np.uint8).sum(dtype=np.int64))
+    """popcount(XNOR(a, b)) over a word span, by the staged kernel's fold."""
+    return int(_fold_matches(np.bitwise_not(np.bitwise_xor(a, b))))
 
 
 class TestPacking:
@@ -98,18 +97,20 @@ class TestPacking:
                 assert not np.any(t.words[..., -1] & stale)
 
     def test_figure_layout_two_kernels(self):
-        # two 3x3x3 kernels: one word per site, 61 pad bits, 9*61 correction
+        # two 3x3x3 kernels: one word per site, 61 pad bits; the bias counts
+        # the 9*61 pad matches twice and the 27 channel bits once
         k = pack_weights(np.ones((2, 3, 3, 3)))
         assert k.dims == (2, 3, 3, 3)
         assert k.words_per_site == 1
         assert k.channel_pad == 61
-        assert k.pad_correction == 549
+        assert _match_bias(3, 3, 3, 64 * k.words_per_site) == 2 * 549 + 27
 
     def test_exact_word_fit(self):
         k = pack_weights(np.ones((4, 3, 3, 64)))
-        assert k.channel_pad == 0 and k.pad_correction == 0
+        assert k.channel_pad == 0 and _match_bias(3, 3, 64, 64) == 9 * 64
         k2 = pack_weights(np.ones((4, 3, 3, 128)))
-        assert k2.words_per_site == 2 and k2.pad_correction == 0
+        assert k2.words_per_site == 2 and k2.channel_pad == 0
+        assert _match_bias(3, 3, 128, 64 * k2.words_per_site) == 9 * 128
 
     @pytest.mark.parametrize("shape", [(0, 2, 2, 4), (1, 2, 0, 4), (1, 2, 2, 0)])
     def test_zero_dim_rejected(self, shape):
@@ -144,7 +145,7 @@ class TestPopcount:
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0xB17F10)
         for _ in range(10_000):
-            n = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 10))
             a = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
             b = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
             assert match_count(a, b) == naive_match_count(a, b)
@@ -162,23 +163,11 @@ class TestPopcount:
 
     def test_popcount_words(self):
         v = np.array([0, 1, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001], dtype=np.uint64)
-        counts = byte_counts(v.copy()).view(np.uint8).reshape(4, 8).sum(axis=1)
-        assert counts.tolist() == [0, 1, 64, 2]
+        assert _fold_matches(v[:, None]).tolist() == [0, 1, 64, 2]
 
     def test_every_byte_value_in_every_position(self):
         values = np.arange(256, dtype=np.uint64)
         want = [bin(b).count("1") for b in range(256)]
         for pos in range(8):
             v = values << np.uint64(8 * pos)
-            got = byte_counts(v).view(np.uint8).reshape(256, 8)
-            assert got[:, pos].tolist() == want
-            assert not np.delete(got, pos, axis=1).any()
-
-    def test_in_place_with_scratch(self):
-        rng = np.random.default_rng(4)
-        v = rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)
-        want = byte_counts(v.copy())
-        scratch = np.empty_like(v)
-        out = byte_counts(v, scratch)
-        assert out is v
-        assert np.array_equal(v, want)
+            assert _fold_matches(v[:, None]).tolist() == want

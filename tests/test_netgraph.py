@@ -228,18 +228,50 @@ class TestRunModel:
         h = run_vgg_block(h, blocks[3])
         assert np.array_equal(got.values, h.values)
 
-    def test_model_must_end_in_i8(self):
+    def test_model_must_end_in_i8(self, monkeypatch):
         rng = np.random.default_rng(10)
         thr = compute_threshold(bn(rng, 3))
         blk = VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 2))), ConvSpec(), thr)
+        ran = []
+        monkeypatch.setattr(ng, "run_vgg_block", lambda *a, **kw: ran.append(a))
         with pytest.raises(GraphError):
             run_model(Model([blk]), np.ones((1, 5, 5, 2)))
+        assert ran == []
 
     def test_float_blocks_rejected(self):
         rng = np.random.default_rng(11)
         fm = float_vgg_model(rng, depth=1)
         with pytest.raises(GraphError):
             run_model(fm, np.ones((1, 8, 8, 6)))
+
+    def test_input_too_small_is_a_graph_error(self):
+        blk = VggBlock(pack_weights(np.ones((2, 5, 5, 3))), ConvSpec(), None)
+        with pytest.raises(GraphError, match="layer 0: non-positive output dims 0x0"):
+            run_model(Model([blk]), np.ones((1, 4, 4, 3)))
+
+    def test_channel_mismatch_is_a_graph_error(self):
+        blk = VggBlock(pack_weights(np.ones((2, 3, 3, 2))), ConvSpec(), None)
+        with pytest.raises(GraphError, match="channel mismatch: input 5, kernel 2"):
+            run_model(Model([blk]), np.ones((1, 6, 6, 5)))
+
+    def test_huge_stride_file_is_a_graph_error_before_any_block_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # a CRC-valid file: a 3x3 stride-2**20 block, then a 3x3 block
+        rng = np.random.default_rng(15)
+        save_model(Model([
+            VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 2))), ConvSpec((1 << 20,) * 2)),
+            VggBlock(pack_weights(rng.standard_normal((4, 3, 3, 3))), ConvSpec()),
+        ]), tmp_path / "m.bdf")
+        model = load_model(tmp_path / "m.bdf")
+        ran = []
+        monkeypatch.setattr(ng, "run_vgg_block", lambda *a, **kw: ran.append(a))
+        with pytest.raises(GraphError, match="layer 0: non-positive output dims 0x0"):
+            run_model(model, np.ones((1, 2, 2, 2)))
+        # 8x8 passes the first block (1x1 out) but not the second
+        with pytest.raises(GraphError, match="layer 1: non-positive output dims -1x-1"):
+            run_model(model, np.ones((1, 8, 8, 2)))
+        assert ran == []
 
 
 class TestConvertModel:
