@@ -24,11 +24,11 @@ The dense reference ``conv_float_oracle`` is one float32 GEMM over
 
 Both kernels count with ``np.bitwise_count``. The staged kernel counts
 bytes, folds each word's byte counts with one multiply-shift and widens
-every tap to int32. The fused kernel adds the counts into uint16 lanes
-across taps and sums the word axis to int32 once per drain; a site that
-fits one word is held in the narrowest unsigned word that fits its
-channels (8, 16, 32 or 64 bits), so the 8-channel stem XORs and counts
-bytes, not 64-bit words.
+every tap to int32. The fused kernel XORs each tap against every filter
+at once, its buffers laid out ``(n, rows, ow, wps, out)``, adds the counts
+into uint16 lanes across taps and sums the word axis to int32 once per
+drain; a one-word site is held in the narrowest unsigned word that fits
+its channels (8, 16, 32 or 64 bits), so the 8-channel stem XORs bytes.
 Both kernels split output rows into spans with :func:`_run_row_spans`.
 """
 
@@ -52,8 +52,9 @@ from .bnquant import ThresholdParams, apply_threshold, threshold_bits
 # Padded pixels decode to this value; {-1,+1} codes cannot represent 0.
 PAD_VALUE = -1
 
-# Default cache budget for one tile of packed input plus one kernel.
-TILE_BYTE_BUDGET = 32 * 1024
+# Cache budget for one fused tile's buffers and kernel, half a 2 MiB per-core L2:
+# on the bench suite's batch-1 shapes, tiles of about 0.4-1.5 MiB ran fastest.
+TILE_BYTE_BUDGET = 1 << 20
 
 I8_MAX = 127
 I8_MIN = -127
@@ -166,14 +167,15 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
     """Match counts for one tile with uint16 lane accumulation across taps.
 
     The fused kernel's inner loop: XNOR, ``np.bitwise_count`` into bytes,
-    a lane-wise add into uint16, and one word-axis sum to int32 per drain
-    instead of a 32-bit accumulate per tap. ``buf`` and ``kinv`` share one
-    unsigned word type of any width; the counts include that word's
-    channel-pad matches, which the caller's bias removes.
+    a lane-wise add into uint16, and one word-axis sum to int32 per drain.
+    Kernel words are ``(fh, fw, wps, out)`` and every buffer
+    ``(n, oh, ow, wps, out)``, so each ufunc's inner loop spans all filters.
+    ``buf`` and ``kinv`` share one unsigned word type of any width; the
+    counts include its channel-pad matches, which the caller's bias removes.
     """
     n = buf.shape[0]
-    out, wps = kinv.shape[0], kinv.shape[3]
-    shape5 = (n, oh, ow, out, wps)
+    wps, out = kinv.shape[2:]
+    shape5 = (n, oh, ow, wps, out)
     xbuf = np.empty(shape5, dtype=buf.dtype)
     counts = np.empty(shape5, dtype=np.uint8)
     lanes = np.zeros(shape5, dtype=np.uint16)
@@ -184,16 +186,16 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
             slab = buf[
                 :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
             ]
-            np.bitwise_xor(slab[:, :, :, None, :], kinv[:, i, j, :], out=xbuf)
+            np.bitwise_xor(slab[:, :, :, :, None], kinv[i, j], out=xbuf)
             np.bitwise_count(xbuf, out=counts)
             lanes += counts
             pending += 1
             if pending == _LANE_TAPS:
-                acc += lanes.sum(axis=-1, dtype=np.int32)
+                acc += lanes.sum(axis=-2, dtype=np.int32)
                 lanes.fill(0)
                 pending = 0
     if pending:
-        acc += lanes.sum(axis=-1, dtype=np.int32)
+        acc += lanes.sum(axis=-2, dtype=np.int32)
     return acc
 
 
@@ -240,17 +242,25 @@ def conv_i8(
     return I8FeatureMap(np.clip(wide.values, I8_MIN, I8_MAX).astype(np.int8))
 
 
+def _site_word(cin: int, wps: int) -> np.dtype:
+    """The fused kernel's word: the narrowest unsigned word that holds a
+    one-word site's channels, else uint64."""
+    return np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
+
+
 def default_tile_rows(x_dims, k: PackedKernelSet, spec: ConvSpec) -> int:
-    """Output rows per tile so one tile of packed input, over the whole
-    batch, plus the kernel fits in the cache budget."""
-    n, _, w, _ = x_dims
-    _, fh, _, _ = k.dims
-    sh, _ = spec.stride
-    _, pw = spec.spatial_pad
-    row_bytes = n * (w + 2 * pw) * k.words_per_site * 8
-    kernel_bytes = k.words.size * 8
-    budget_rows = (TILE_BYTE_BUDGET - kernel_bytes) // max(row_bytes, 1)
-    return max(1, int((budget_rows - fh) // sh + 1))
+    """Output rows per tile so one tile's buffers, over the whole batch, fit
+    the cache budget: per output row the XOR, count and lane buffers of
+    :func:`_tile_matches` (word + 3 bytes per word) and its int32
+    accumulator, plus the packed input rows the tile reads and the kernel."""
+    n, _, ow, out = output_shape(x_dims, k.dims, spec)
+    _, _, w, cin = x_dims
+    fh, sh, pw, wps = k.dims[1], spec.stride[0], spec.spatial_pad[1], k.words_per_site
+    word = _site_word(cin, wps).itemsize
+    in_row = n * (w + 2 * pw) * wps * word
+    row_bytes = n * ow * out * (wps * (word + 3) + 4) + sh * in_row
+    fixed_bytes = k.words.size * word + (fh - sh) * in_row
+    return max(1, (TILE_BYTE_BUDGET - fixed_bytes) // row_bytes)
 
 
 def conv_fused(
@@ -266,7 +276,7 @@ def conv_fused(
     ``thr`` binarizes the 8-bit input per channel (threshold comparison);
     when absent the input is binarized by sign. The result is bit-identical
     to the staged pipeline (binarize, pack, pad, conv_i8) for every tile
-    size and worker count; tiles only bound the packed working set.
+    size and worker count; tiles only bound the working set.
     """
     if thr is not None and thr.channels != x_prev.channels:
         raise ValueError(
@@ -278,15 +288,14 @@ def conv_fused(
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     wps = k.words_per_site
-    if tile_rows is None:
-        tile_rows = default_tile_rows(x_prev.dims, k, spec)
+    if tile_rows is None:  # the budget's tile, at most one worker's share
+        tile_rows = min(default_tile_rows(x_prev.dims, k, spec), -(-oh // max(threads, 1)))
     tile_rows = max(1, min(tile_rows, oh))
-    # A site that fits one word is held in the narrowest unsigned word that
-    # holds its channels; the word's high bits are pad matches, as in uint64.
-    word = np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
+    # a narrow word's high bits are pad matches, as in uint64
+    word = _site_word(cin, wps)
     lane_bits = 8 * word.itemsize
     bias = _match_bias(fh, fw, cin, lane_bits * wps)
-    kinv = np.bitwise_not(k.words.astype(word))
+    kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
     def run_tile(y0, y1):

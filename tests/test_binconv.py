@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from bitflow import binconv
 from bitflow.binconv import (
+    TILE_BYTE_BUDGET,
     ConvSpec,
     conv_float_oracle,
     conv_fused,
@@ -220,6 +222,28 @@ class TestConvI8:
         assert out.values[0, 0, 0, 0] == 100
 
 
+def fused_tile_bytes(x_dims, k, spec, rows):
+    """Working set of one fused tile of ``rows`` output rows: the packed
+    input rows it reads, the kernel, and per output word the XOR (one word),
+    count (1 byte) and lane (2 bytes) buffers, plus the int32 accumulator."""
+    n, _, ow, out = output_shape(x_dims, k.dims, spec)
+    _, _, w, cin = x_dims
+    _, fh, fw, _ = k.dims
+    wps = k.words_per_site
+    word = 8 if wps > 1 else next(b for b in (1, 2, 4, 8) if cin <= 8 * b)
+    in_rows = (rows - 1) * spec.stride[0] + fh
+    packed = (in_rows * n * (w + 2 * spec.spatial_pad[1]) + fh * fw * out) * wps * word
+    return packed + rows * n * ow * out * (wps * (word + 3) + 4)
+
+
+def assert_tile_fits_budget(x_dims, k, spec, rows):
+    """The tile fits the budget (or is the one-row floor), and one more row
+    would not fit (or the tile already spans every output row)."""
+    oh = output_shape(x_dims, k.dims, spec)[1]
+    assert rows == 1 or fused_tile_bytes(x_dims, k, spec, rows) <= TILE_BYTE_BUDGET
+    assert rows >= oh or fused_tile_bytes(x_dims, k, spec, rows + 1) > TILE_BYTE_BUDGET
+
+
 class TestConvFused:
     def _random_threshold(self, rng, channels):
         p = BNParams(
@@ -285,9 +309,37 @@ class TestConvFused:
         # the toy-VGG stem: 16x16x8 input, 64 3x3 filters
         k = pack_weights(np.ones((64, 3, 3, 8)))
         spec = ConvSpec(spatial_pad=(1, 1))
-        picks = [default_tile_rows((n, 16, 16, 8), k, spec) for n in (1, 2, 8, 100, 400)]
-        assert picks[0] == 193  # (32768 - 4608) // 144 budget rows, minus fh - 1
+        batches = (1, 2, 8, 100, 400)
+        picks = [default_tile_rows((n, 16, 16, 8), k, spec) for n in batches]
+        for n, rows in zip(batches, picks):
+            assert_tile_fits_budget((n, 16, 16, 8), k, spec, rows)
         assert picks[0] > picks[1] > picks[2] > picks[3] >= picks[4] >= 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_default_tiles_split_rows_among_workers(self, monkeypatch, threads):
+        # the budget fits all 4 output rows in one tile; workers split them
+        rows = []
+        real = binconv._tile_matches
+        monkeypatch.setattr(
+            binconv, "_tile_matches", lambda *a: rows.append(a[6]) or real(*a)
+        )
+        x = I8FeatureMap(np.ones((1, 4, 4, 256), dtype=np.int8))
+        k = pack_weights(np.ones((256, 3, 3, 256)))
+        spec = ConvSpec(spatial_pad=(1, 1))
+        assert default_tile_rows(x.dims, k, spec) >= 4
+        conv_fused(x, None, k, spec, threads=threads)
+        assert rows == {1: [4], 2: [2, 2], 4: [1, 1, 1, 1]}[threads]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 100])
+    @pytest.mark.parametrize(
+        "hw,cin,out,f,stride",
+        [(14, 256, 256, 3, 1), (28, 128, 256, 3, 2), (16, 64, 64, 8, 8), (9, 20, 7, 1, 2)],
+    )
+    def test_default_tile_rows_fill_the_budget(self, n, hw, cin, out, f, stride):
+        k = pack_weights(np.ones((out, f, f, cin)))
+        spec = ConvSpec(stride=(stride, stride), spatial_pad=(f // 2, f // 2))
+        rows = default_tile_rows((n, hw, hw, cin), k, spec)
+        assert_tile_fits_budget((n, hw, hw, cin), k, spec, rows)
 
     @pytest.mark.parametrize("tile_rows", [1, None])
     def test_many_taps_all_match(self, tile_rows):
@@ -355,3 +407,23 @@ class TestConvFused:
             assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
             assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
             assert (fused == 127).all()
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cin", [8, 128, 300])
+    @pytest.mark.parametrize("out", [1, 3, 65, 257])
+    def test_output_channels_match_staged_and_oracle(self, out, cin, threads, tile_rows):
+        # 1, 2 and 5 words per site; non-square filters, so a kernel laid
+        # out with fh and fw swapped cannot pass on symmetric taps
+        rng = np.random.default_rng(out * 1000 + cin)
+        vals = rng.integers(-127, 128, size=(2, 7, 8, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        thr = self._random_threshold(rng, cin)
+        for (fh, fw), stride in (((3, 5), (2, 1)), ((5, 2), (1, 2))):
+            w = rng.choice([-1, 1], size=(out, fh, fw, cin)).astype(np.int8)
+            k = pack_weights(w)
+            spec = ConvSpec(stride=stride, spatial_pad=(fh // 2, fw // 2))
+            for t in (None, thr):
+                fused = conv_fused(x, t, k, spec, tile_rows=tile_rows, threads=threads).values
+                assert np.array_equal(fused, staged_conv_i8(x, t, k, spec).values)
+                assert np.array_equal(fused, oracle_i8(vals, t, w, spec))
