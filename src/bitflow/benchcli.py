@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitcore, bnquant, netgraph
+from . import binconv, bitcore, bnquant, netgraph
 from .binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
 from .bitcore import I8FeatureMap, pack_activations, pack_weights
 
@@ -432,24 +432,6 @@ def serialization_sweep(rng, n_models: int) -> SweepResult:
     return SweepResult("serialization", n_models)
 
 
-def _staged_model_output(model: netgraph.Model, x: np.ndarray) -> np.ndarray:
-    """``run_model``'s result rebuilt block by block on the staged path:
-    staged_conv_i8, then threshold hand-off, or bn_q_forward and the
-    saturating shortcut add."""
-    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
-    thr = None
-    for blk in model.blocks:
-        y = staged_conv_i8(h, thr, blk.kernel, blk.spec)
-        if isinstance(blk, netgraph.ResnetBlock):
-            z = bnquant.bn_q_forward(y, blk.qbn).values.astype(np.int16)
-            y = I8FeatureMap(np.clip(z + h.values, -127, 127).astype(np.int8))
-            thr = None
-        else:
-            thr = blk.thr
-        h = y
-    return h.values
-
-
 # Largest validation input (elements) a model file may ask for.
 _MAX_MODEL_INPUT = 1 << 24
 
@@ -468,8 +450,8 @@ def model_input_size(model: netgraph.Model) -> tuple[int, int]:
 
 
 def validate_model_file(path, rng) -> SweepResult:
-    """Structure, roundtrip and executor-vs-staged agreement for one model,
-    on one input sized by :func:`model_input_size`."""
+    """Structure, roundtrip and ``run_model`` against the dense reference
+    for one model, on one input sized by :func:`model_input_size`."""
     model = netgraph.load_model(path)
     blob = netgraph.model_to_bytes(model)
     if netgraph.model_to_bytes(netgraph.model_from_bytes(blob)) != blob:
@@ -480,16 +462,27 @@ def validate_model_file(path, rng) -> SweepResult:
     cin = model.blocks[0].kernel.in_channels
     if h * w * cin > _MAX_MODEL_INPUT:
         return SweepResult("model-file", 1, f"model needs a {h}x{w}x{cin} input, too large")
+    dims = (1, h, w, cin)
+    for i, blk in enumerate(model.blocks):
+        try:
+            dims = binconv.output_shape(dims, blk.kernel.dims, blk.spec)
+        except ValueError as exc:
+            return SweepResult("model-file", 1, f"model does not run: layer {i}: {exc}")
+        # past 2**24 values the reference's im2col rows are inexact or huge
+        sites, taps = dims[1] * dims[2], int(np.prod(blk.kernel.dims[1:]))
+        if sites * taps >= binconv.ORACLE_MAX_TAPS:
+            why = f"layer {i}: {sites} sites x {taps} taps, too many for the dense reference"
+            return SweepResult("model-file", 1, why)
     x = rng.standard_normal((1, h, w, cin))
     try:
         got = netgraph.run_model(model, x).values
     except netgraph.GraphError as exc:
         return SweepResult("model-file", 1, f"model does not run: {exc}")
-    want = _staged_model_output(model, x)
+    want = netgraph.run_float_reference(model, x)
     if not np.array_equal(got, want):
         diff = tuple(int(i) for i in np.argwhere(got != want)[0])
         return SweepResult(
-            "model-file", 1, f"executor differs from the staged path, first diff at {diff}"
+            "model-file", 1, f"executor differs from the dense reference, first diff at {diff}"
         )
     return SweepResult("model-file", 2)
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcore import (
+    _MAX_ELEMENTS,
     WORD_BITS,
     BitPlaneTensor,
     I8FeatureMap,
@@ -58,6 +59,9 @@ TILE_BYTE_BUDGET = 1 << 20
 
 I8_MAX = 127
 I8_MIN = -127
+
+# The dense oracle is exact below this many taps (fh * fw * cin) in float32.
+ORACLE_MAX_TAPS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class I32FeatureMap:
 
 
 def output_shape(in_dims, k_dims, spec: ConvSpec) -> tuple[int, int, int, int]:
-    """Output dims of a direct convolution; raises on impossible geometry."""
+    """Output dims of a direct convolution; raises on impossible geometry or size."""
     n, h, w, cin = in_dims
     out, fh, fw, kin = k_dims
     if cin != kin:
@@ -107,6 +111,8 @@ def output_shape(in_dims, k_dims, spec: ConvSpec) -> tuple[int, int, int, int]:
             f"non-positive output dims {oh}x{ow} for input {h}x{w}, "
             f"filter {fh}x{fw}, stride {spec.stride}, pad {spec.spatial_pad}"
         )
+    if n * oh * ow * out > _MAX_ELEMENTS:
+        raise ValueError(f"output {n}x{oh}x{ow}x{out} exceeds {_MAX_ELEMENTS} elements")
     return n, oh, ow, out
 
 
@@ -366,7 +372,7 @@ def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32Featur
     w = np.asarray(w)
     output_shape(a.shape, w.shape, spec)
     out, fh, fw, cin = w.shape
-    if fh * fw * cin >= 1 << 24:
+    if fh * fw * cin >= ORACLE_MAX_TAPS:
         raise ValueError(
             f"oracle is exact below 2**24 taps, got {fh}x{fw}x{cin} = {fh * fw * cin}"
         )

@@ -9,9 +9,9 @@ Two deployment block types:
   norm, then a saturating 8-bit addition with the identity shortcut taken
   from the block's 8-bit input.
 
-``FloatBlock`` carries unconverted float batch-norm tables; it exists so
-trained models can be stored before threshold/fixed-point conversion and
-is rejected by the executor.
+``FloatBlock`` carries unconverted float batch-norm tables, so trained
+models can be stored before conversion; ``run_model`` rejects it, and the
+dense reference ``run_float_reference`` runs all three block types.
 
 Model file layout (all little-endian): magic ``BDF1``, u16 version,
 u16 layer count, per layer a tag byte plus kernel dims (u32 x4), stride
@@ -38,11 +38,11 @@ from .bitcore import (
     I8FeatureMap,
     PackedKernelSet,
     _check_pad_bits,
-    pack_weights,
     unpack_weights,
     words_per_pixel,
 )
 from .bnquant import (
+    LE,
     BNParams,
     QBNParams,
     ThresholdParams,
@@ -220,25 +220,31 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
     return h
 
 
-def run_float_reference(model: Model, x: np.ndarray, mode: str) -> np.ndarray:
-    """Float executor for FloatBlock models: dense +-1 convolution, clip,
-    real batch norm, sign or shortcut add per ``mode`` (vgg | resnet).
-
-    Independent of the packed engine; used as the whole-pipeline oracle.
+def run_float_reference(model: Model, x: np.ndarray, mode: str | None = None) -> np.ndarray:
+    """The whole-model oracle: every block convolves the sign of its input on
+    ``conv_float_oracle``, never the packed engine, and clips to +-127. Then
+    a ``FloatBlock`` applies real batch norm and sign or the clipped shortcut
+    add per ``mode`` (vgg | resnet, checked only when a FloatBlock is reached),
+    a ``VggBlock`` emits ``x >= tau`` (``x <= tau`` on LE channels) as +-1, and
+    a ``ResnetBlock`` applies ``bn_q_forward`` and the saturating shortcut add.
+    A block without batch norm or thresholds emits its clipped int8 map.
     """
-    if mode not in ("vgg", "resnet"):
-        raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    h = np.where(x >= 0, 1.0, -1.0)
+    h = np.where(np.asarray(x) >= 0, 1.0, -1.0)
     for i, blk in enumerate(model.blocks):
-        if not isinstance(blk, FloatBlock):
-            raise GraphError(f"layer {i} is not a float block")
-        w = unpack_weights(blk.kernel)
+        if not isinstance(blk, (FloatBlock, VggBlock, ResnetBlock)):
+            raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
+        if isinstance(blk, FloatBlock) and mode not in ("vgg", "resnet"):
+            raise ValueError(f"unknown mode {mode!r}")
         a = np.where(h >= 0, 1, -1).astype(np.int8)
-        f = np.clip(conv_float_oracle(a, w, blk.spec).values, -127, 127).astype(
-            np.float64
-        )
-        if blk.bn is None:
+        conv = conv_float_oracle(a, unpack_weights(blk.kernel), blk.spec).values
+        f = np.clip(conv, -127, 127).astype(np.int8)
+        if isinstance(blk, ResnetBlock):
+            z = bn_q_forward(I8FeatureMap(f), blk.qbn).values.astype(np.int16)
+            h = np.clip(z + h, -127, 127).astype(np.int8)
+        elif isinstance(blk, VggBlock) and blk.thr is not None:
+            up = np.where(blk.thr.direction == LE, f <= blk.thr.tau, f >= blk.thr.tau)
+            h = np.where(up, 1, -1).astype(np.int8)
+        elif isinstance(blk, VggBlock) or blk.bn is None:
             h = f
         elif mode == "vgg":
             h = np.where(bn_float(f, blk.bn) >= 0, 1.0, -1.0)

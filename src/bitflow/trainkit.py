@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binconv import ConvSpec, conv_float_oracle, im2col
-from .bitcore import I8FeatureMap, pack_weights
-from .bnquant import BNParams, QBNParams, bn_q_forward, compute_threshold, quantize_bn
-from .netgraph import FloatBlock, Model, ResnetBlock, VggBlock
+from .binconv import ConvSpec, im2col
+from .bitcore import pack_weights
+from .bnquant import BNParams, QBNParams, compute_threshold, quantize_bn
+from .netgraph import FloatBlock, Model, ResnetBlock, VggBlock, run_float_reference
 
 DEFAULT_SEED = 0xB17F10
 
@@ -644,32 +644,16 @@ def head_logits(state: TrainState, trunk_values) -> np.ndarray:
     return g @ state.head_w + state.head_b
 
 
-def _integer_trunk(state: TrainState, x) -> np.ndarray:
-    """Deployment-arithmetic forward pass for a quantized residual model.
-
-    Convolutions run on the dense oracle (independent of the packed
-    engine), batch norm as the 16-bit integer multiply-add.
-    """
-    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
-    for blk in state.blocks:
-        a = np.where(h.values >= 0, 1, -1).astype(np.int8)
-        wb = np.where(blk.weight >= 0, 1, -1).astype(np.int8)
-        f = conv_float_oracle(a, wb, blk.spec).values
-        conv = I8FeatureMap(np.clip(f, -127, 127).astype(np.int8))
-        z = bn_q_forward(conv, blk.bn.qbn)
-        summed = z.values.astype(np.int16) + h.values.astype(np.int16)
-        h = I8FeatureMap(np.clip(summed, -127, 127).astype(np.int8))
-    return h.values
-
-
 def predict_classes(state: TrainState, images) -> np.ndarray:
     """Class predictions under the model's current arithmetic.
 
-    Quantized residual models run the integer deployment path; all other
-    stages use the eval-mode binarized forward pass.
+    Quantized residual models run their deployment export through the dense
+    reference (:func:`netgraph.run_float_reference`, not the packed engine);
+    all other stages use the eval-mode binarized forward pass.
     """
     if state.stage == STAGE_QUANTIZED and state.variant == "resnet":
-        return head_logits(state, _integer_trunk(state, images)).argmax(axis=1)
+        trunk = run_float_reference(export_resnet_model(state), images)
+        return head_logits(state, trunk).argmax(axis=1)
     _, _, logits, _ = _forward(state, images, training=False)
     return logits.argmax(axis=1)
 

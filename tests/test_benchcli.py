@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bitflow import benchcli, binconv, netgraph, trainkit
+from bitflow import benchcli, binconv, bitcore, netgraph, trainkit
 from bitflow.benchcli import (
     BenchConfig,
     conv_sweep,
@@ -208,7 +208,45 @@ class TestCli:
         assert main(["validate", "--sizes", "tiny", "--seed", "7",
                      "--model", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "[FAIL] model-file" in out and "staged path" in out
+        assert "[FAIL] model-file" in out and "dense reference" in out
+
+    def test_validate_model_catches_a_fault_the_packed_kernels_share(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the staged and fused kernels share the match bias; the dense
+        # reference does not, so an off-by-one there is caught
+        path = tmp_path / "m.bdf"
+        netgraph.save_model(benchcli.random_model(np.random.default_rng(12)), path)
+        real = binconv._match_bias
+        monkeypatch.setattr(binconv, "_match_bias", lambda *a: real(*a) + 1)
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        assert "[FAIL] model-file: executor differs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cin", [74_566, 70_000])
+    def test_validate_model_too_large_for_the_reference_fails_cleanly(self, tmp_path, capsys, cin):
+        # 15x15x74566 = 2**24 + 134 taps: the dense reference cannot be
+        # exact; 15x15x70000 taps at 64 sites would be 4 GiB of im2col rows.
+        # The 8x8 inputs are small enough to draw.
+        out, f = 1, 15
+        words = np.zeros((out, f, f, bitcore.words_per_pixel(cin)), dtype=np.uint64)
+        kernel = bitcore.PackedKernelSet((out, f, f, cin), words)
+        blk = netgraph.VggBlock(kernel, benchcli.ConvSpec(spatial_pad=(7, 7)))
+        path = tmp_path / "big.bdf"
+        netgraph.save_model(netgraph.Model([blk]), path)
+        assert path.stat().st_size < 3 << 20
+        model = netgraph.load_model(path)
+        assert benchcli.model_input_size(model) == (8, 8)
+        assert 8 * 8 * cin <= benchcli._MAX_MODEL_INPUT
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        assert not benchcli.validate_model_file(path, rng).ok
+        assert rng.bit_generator.state == before  # no input was drawn
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 4
+        assert f"[FAIL] model-file: layer 0: 64 sites x {f * f * cin} taps" in out
 
     def test_validate_model_that_cannot_run_fails_cleanly(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -261,6 +299,15 @@ class TestCli:
         assert main(["validate", "--sizes", "tiny", "--seed", "7",
                      "--model", str(path)]) == 1
         assert "[FAIL] model-file" in capsys.readouterr().out
+
+    def test_validate_model_with_misfit_layers_fails_before_drawing(self, tmp_path):
+        # the second block wants 4 input channels, the first emits 3
+        _, path = self._save(tmp_path, (2, 3, 3, 1, 1), (4, 4, 3, 1, 1))
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        result = benchcli.validate_model_file(path, rng)
+        assert rng.bit_generator.state == before
+        assert result.failure == "model does not run: layer 1: channel mismatch: input 3, kernel 4"
 
     def test_validate_detects_injected_fault(self, monkeypatch, capsys):
         real = binconv._match_bias

@@ -273,6 +273,69 @@ class TestRunModel:
             run_model(model, np.ones((1, 8, 8, 2)))
         assert ran == []
 
+    def test_huge_output_is_a_graph_error_before_any_block_runs(self, tmp_path, monkeypatch):
+        # ~1 MB of kernels grow a 1x1x1 input to F x F, then to 512
+        # channels: 2**41 elements, over bitcore's 2**40 limit
+        f = 1 << 16
+        save_model(Model([
+            VggBlock(pack_weights(np.ones((1, f, 1, 1))), ConvSpec(spatial_pad=(f - 1, 0))),
+            VggBlock(pack_weights(np.ones((1, 1, f, 1))), ConvSpec(spatial_pad=(0, f - 1))),
+            VggBlock(pack_weights(np.ones((512, 1, 1, 1))), ConvSpec()),
+        ]), tmp_path / "m.bdf")
+        assert (tmp_path / "m.bdf").stat().st_size < 2 << 20
+        model = load_model(tmp_path / "m.bdf")
+        ran = []
+        monkeypatch.setattr(ng, "run_vgg_block", lambda *a, **kw: ran.append(a))
+        with pytest.raises(GraphError, match=f"layer 2: output 1x{f}x{f}x512 exceeds"):
+            run_model(model, np.ones((1, 1, 1, 1)))
+        assert ran == []
+
+
+class TestFloatReference:
+    def test_equals_run_model_on_converted_models(self):
+        rng = np.random.default_rng(16)
+        for trial in range(8):
+            vgg, _ = convert_model(float_vgg_model(rng, depth=int(rng.integers(1, 4))),
+                                   "vgg-threshold")
+            res, _ = convert_model(float_resnet_model(rng, depth=int(rng.integers(1, 4))),
+                                   "resnet-qbn")
+            x = rng.standard_normal((2, 8, 8, 6))
+            for model in (vgg, res):
+                want = run_model(model, x).values
+                got = run_float_reference(model, x)
+                assert got.dtype == np.int8 and np.array_equal(got, want)
+
+    def test_equals_run_model_on_a_mixed_model(self):
+        rng = np.random.default_rng(17)
+        c, spec = 5, ConvSpec(spatial_pad=(1, 1))
+        qbn, _ = quantize_bn(bn(rng, c, gamma_span=20.0))
+        model = Model([
+            VggBlock(pack_weights(rng.standard_normal((c, 3, 3, 3))), spec, None),
+            ResnetBlock(pack_weights(rng.standard_normal((c, 3, 3, c))), spec, qbn),
+            VggBlock(pack_weights(rng.standard_normal((c, 3, 3, c))), spec,
+                     compute_threshold(bn(rng, c))),
+            VggBlock(pack_weights(rng.standard_normal((4, 3, 3, c))), spec, None),
+        ])
+        x = rng.standard_normal((3, 7, 7, 3))
+        assert np.array_equal(run_float_reference(model, x), run_model(model, x).values)
+
+    @pytest.mark.parametrize("mode", [None, "bogus"])
+    def test_float_blocks_need_a_mode(self, mode):
+        fm = float_vgg_model(np.random.default_rng(18), depth=2)
+        with pytest.raises(ValueError, match="unknown mode"):
+            run_float_reference(fm, np.ones((1, 8, 8, 6)), mode)
+
+    def test_mode_is_not_needed_without_float_blocks(self):
+        model, _ = convert_model(float_vgg_model(np.random.default_rng(19)), "vgg-threshold")
+        x = np.ones((1, 8, 8, 6))
+        assert np.array_equal(run_float_reference(model, x, "bogus"), run_model(model, x).values)
+
+    def test_unknown_block_type_is_a_graph_error(self):
+        rng = np.random.default_rng(20)
+        blk = VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 2))), ConvSpec(), None)
+        with pytest.raises(GraphError, match="layer 1 has unknown type object"):
+            run_float_reference(Model([blk, object()]), np.ones((1, 5, 5, 2)))
+
 
 class TestConvertModel:
     def test_identity_bn_gives_zero_ge_thresholds(self):

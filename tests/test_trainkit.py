@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bitflow import netgraph as ng
+from bitflow.bitcore import unpack_weights
 from bitflow import trainkit as tk
 from bitflow.trainkit import (
     bn_quantize_retrain,
@@ -260,6 +261,21 @@ class TestExportParity:
         out = ng.run_model(model, task.val_images)
         net_preds = head_logits(sq, out.values).argmax(axis=1)
         assert np.array_equal(net_preds, predict_classes(sq, task.val_images))
+
+    def test_resnet_export_field_by_field(self):
+        # predict_classes runs this export, so parity with run_model does
+        # not check it; compare every block with the state it came from
+        task = small_resnet_task()
+        s2 = train_stage2(train_stage1(task, epochs=1), task, epochs=1)
+        sq, _ = bn_quantize_retrain(s2, task, epochs_per_layer=0)
+        model = tk.export_resnet_model(sq)
+        assert len(model.blocks) == len(sq.blocks)
+        for exported, blk in zip(model.blocks, sq.blocks):
+            assert isinstance(exported, ng.ResnetBlock)
+            signs = np.where(blk.weight >= 0, 1, -1)
+            assert np.array_equal(unpack_weights(exported.kernel), signs)
+            assert exported.spec == blk.spec
+            assert exported.qbn is blk.bn.qbn
 
     def test_resnet_export_requires_quantized(self):
         task = small_resnet_task()
