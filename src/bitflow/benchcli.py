@@ -17,12 +17,15 @@ non-zero on the first mismatch.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -94,6 +97,36 @@ class BenchReport:
                 f"{r.max_us:.3f},{ratio}"
             )
         return "\n".join(lines) + "\n"
+
+    def to_json(self, argv, seed: int) -> str:
+        """The rows beside what produced them: git sha, numpy version, CPU
+        count, the command and the workload seed."""
+        record = {
+            "git_sha": _git_sha(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "argv": ["bitflow", *argv],
+            "seed": seed,
+            "rows": [asdict(r) for r in self.rows],
+        }
+        return json.dumps(record, indent=2) + "\n"
+
+
+def _git_sha() -> str | None:
+    """HEAD of the git checkout this package's source tree is the root of,
+    else None (an installed copy, or a tree inside another repository)."""
+    root = Path(__file__).resolve().parents[2]
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    lines = out.stdout.split()
+    if out.returncode == 0 and len(lines) == 2 and Path(lines[0]).resolve() == root:
+        return lines[1]
+    return None
 
 
 def default_suite(repeats: int = 15, warmup: int = 3, threads: int = 1) -> list:
@@ -525,6 +558,10 @@ def cmd_bench(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
         print(f"wrote {args.csv}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(report.to_json(args.argv, seed))
+        print(f"wrote {args.json}")
     return EXIT_OK
 
 
@@ -585,6 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, default=3)
     bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--csv", help="write rows to this path")
+    bench.add_argument("--json", help="write rows, git sha, numpy version and CPU count here")
     bench.add_argument("--seed", help="workload seed (overrides BITFLOW_SEED)")
     bench.set_defaults(func=cmd_bench)
 
@@ -606,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -25,11 +25,16 @@ The dense reference ``conv_float_oracle`` is one float32 GEMM over
 Both kernels count with ``np.bitwise_count``. The staged kernel counts
 bytes, folds each word's byte counts with one multiply-shift and widens
 every tap to int32. The fused kernel XORs each tap against every filter
-at once, its buffers laid out ``(n, rows, ow, wps, out)``, adds the counts
-into uint16 lanes across taps and sums the word axis to int32 once per
-drain; a one-word site is held in the narrowest unsigned word that fits
-its channels (8, 16, 32 or 64 bits), so the 8-channel stem XORs bytes.
-Both kernels split output rows into spans with :func:`_run_row_spans`.
+at once, its buffers laid out ``(n, rows, ow, wps, out)``; a one-word
+site is held in the narrowest unsigned word that fits its channels (8,
+16, 32 or 64 bits), so the 8-channel stem XORs bytes. The filter sets its
+narrow types (:func:`_lane_types`): counts add across taps in uint8 lanes
+when all taps fit, else uint16, and sum over words into an int16
+accumulator when twice the matches fit, else int32. A one-word site that
+never drains mid-loop skips the word-axis sum, and the epilogue stays in
+the accumulator type, or in uint8 where the clamp cannot fire, so the
+stem never widens past 8 bits. Both kernels split output rows into spans
+with :func:`_run_row_spans`.
 """
 
 from __future__ import annotations
@@ -164,16 +169,20 @@ def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
             acc += _fold_matches(x)
 
 
-# A uint16 lane gains at most one word's bits (64) per tap, so up to 1023
-# taps can be summed lane-wise before a widening drain is due.
-_LANE_TAPS = np.iinfo(np.uint16).max // WORD_BITS
+def _add_words(acc, lanes, acc_type):
+    """``acc`` (None before the first drain) plus the lanes summed over words."""
+    part = lanes.sum(axis=-2, dtype=acc_type)
+    return part if acc is None else np.add(acc, part, out=acc)
 
 
-def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
-    """Match counts for one tile with uint16 lane accumulation across taps.
+def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow, lane, acc_type) -> np.ndarray:
+    """Match counts for one tile, accumulated across taps in ``lane`` lanes.
 
-    The fused kernel's inner loop: XNOR, ``np.bitwise_count`` into bytes,
-    a lane-wise add into uint16, and one word-axis sum to int32 per drain.
+    The fused kernel's inner loop: XNOR, ``np.bitwise_count`` into bytes and
+    a lane-wise add. The lanes drain into ``acc_type`` by a word-axis sum
+    before a tap would overflow them (every ``iinfo(lane).max // lane_bits``
+    taps) and at the end, except that a one-word site that never drained
+    mid-loop returns its lanes themselves, with no sum.
     Kernel words are ``(fh, fw, wps, out)`` and every buffer
     ``(n, oh, ow, wps, out)``, so each ufunc's inner loop spans all filters.
     ``buf`` and ``kinv`` share one unsigned word type of any width; the
@@ -182,13 +191,18 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
     n = buf.shape[0]
     wps, out = kinv.shape[2:]
     shape5 = (n, oh, ow, wps, out)
+    drain_taps = np.iinfo(lane).max // (8 * buf.itemsize)
     xbuf = np.empty(shape5, dtype=buf.dtype)
     counts = np.empty(shape5, dtype=np.uint8)
-    lanes = np.zeros(shape5, dtype=np.uint16)
-    acc = np.zeros((n, oh, ow, out), dtype=np.int32)
+    lanes = np.zeros(shape5, dtype=lane)
+    acc = None
     pending = 0
     for i in range(fh):
         for j in range(fw):
+            if pending == drain_taps:  # full, and another tap is due
+                acc = _add_words(acc, lanes, acc_type)
+                lanes.fill(0)
+                pending = 0
             slab = buf[
                 :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
             ]
@@ -196,13 +210,9 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow) -> np.ndarray:
             np.bitwise_count(xbuf, out=counts)
             lanes += counts
             pending += 1
-            if pending == _LANE_TAPS:
-                acc += lanes.sum(axis=-2, dtype=np.int32)
-                lanes.fill(0)
-                pending = 0
-    if pending:
-        acc += lanes.sum(axis=-2, dtype=np.int32)
-    return acc
+    if acc is None and wps == 1:
+        return lanes[:, :, :, 0]
+    return _add_words(acc, lanes, acc_type)
 
 
 def _run_row_spans(oh: int, span_rows: int, threads: int, work) -> None:
@@ -254,18 +264,34 @@ def _site_word(cin: int, wps: int) -> np.dtype:
     return np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
 
 
+def _lane_types(fh: int, fw: int, word: np.dtype, wps: int) -> tuple[np.dtype, np.dtype]:
+    """The fused kernel's lane and accumulator types. A lane gains at most
+    one word's bits per tap, so uint8 lanes hold all fh*fw taps when
+    ``fh * fw * lane_bits <= 255``, else uint16 lanes drain mid-loop. The
+    accumulator holds ``2 * matches`` over the site's words before the bias
+    comes off: int16 when ``2 * fh * fw * lane_bits * wps <= 32767``, else
+    int32."""
+    tap_bits = fh * fw * 8 * word.itemsize
+    lane = np.dtype(np.uint8 if tap_bits <= np.iinfo(np.uint8).max else np.uint16)
+    acc = np.dtype(np.int16 if 2 * tap_bits * wps <= np.iinfo(np.int16).max else np.int32)
+    return lane, acc
+
+
 def default_tile_rows(x_dims, k: PackedKernelSet, spec: ConvSpec) -> int:
     """Output rows per tile so one tile's buffers, over the whole batch, fit
     the cache budget: per output row the XOR, count and lane buffers of
-    :func:`_tile_matches` (word + 3 bytes per word) and its int32
+    :func:`_tile_matches` (word, 1 and lane bytes per word) and its
     accumulator, plus the packed input rows the tile reads and the kernel."""
     n, _, ow, out = output_shape(x_dims, k.dims, spec)
     _, _, w, cin = x_dims
-    fh, sh, pw, wps = k.dims[1], spec.stride[0], spec.spatial_pad[1], k.words_per_site
-    word = _site_word(cin, wps).itemsize
-    in_row = n * (w + 2 * pw) * wps * word
-    row_bytes = n * ow * out * (wps * (word + 3) + 4) + sh * in_row
-    fixed_bytes = k.words.size * word + (fh - sh) * in_row
+    _, fh, fw, _ = k.dims
+    sh, pw, wps = spec.stride[0], spec.spatial_pad[1], k.words_per_site
+    word = _site_word(cin, wps)
+    lane, acc = _lane_types(fh, fw, word, wps)
+    in_row = n * (w + 2 * pw) * wps * word.itemsize
+    per_word = word.itemsize + 1 + lane.itemsize
+    row_bytes = n * ow * out * (wps * per_word + acc.itemsize) + sh * in_row
+    fixed_bytes = k.words.size * word.itemsize + (fh - sh) * in_row
     return max(1, (TILE_BYTE_BUDGET - fixed_bytes) // row_bytes)
 
 
@@ -299,8 +325,11 @@ def conv_fused(
     tile_rows = max(1, min(tile_rows, oh))
     # a narrow word's high bits are pad matches, as in uint64
     word = _site_word(cin, wps)
-    lane_bits = 8 * word.itemsize
-    bias = _match_bias(fh, fw, cin, lane_bits * wps)
+    lane, acc_type = _lane_types(fh, fw, word, wps)
+    bias = int(_match_bias(fh, fw, cin, 8 * word.itemsize * wps))
+    # |2 * matches - bias| <= fh*fw*cin; at most 127 the clamp never fires,
+    # so the low byte of 2 * matches - bias, wrapped in uint8, is the result
+    wrap = fh * fw * cin <= I8_MAX
     kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
@@ -313,11 +342,15 @@ def conv_fused(
             bits = (rows >= 0) if thr is None else threshold_bits(rows, thr)
             # narrowing drops only zero channel-pad bits
             buf[:, lo - r0 : hi - r0, pw : pw + w, :] = pack_bitplanes(bits)
-        acc = _tile_matches(buf, kinv, fh, fw, sh, sw, y1 - y0, ow)
-        acc *= 2
-        acc -= bias
-        np.clip(acc, I8_MIN, I8_MAX, out=acc)
-        result[:, y0:y1] = acc.astype(np.int8)
+        acc = _tile_matches(buf, kinv, fh, fw, sh, sw, y1 - y0, ow, lane, acc_type)
+        if wrap:
+            y = np.multiply(acc, 2, out=result[:, y0:y1].view(np.uint8), casting="unsafe")
+            y -= np.uint8(bias & 0xFF)
+        else:
+            y = np.multiply(acc, 2, out=acc if acc.dtype == acc_type else None, dtype=acc_type)
+            y -= bias
+            np.clip(y, I8_MIN, I8_MAX, out=y)
+            result[:, y0:y1] = y
 
     _run_row_spans(oh, tile_rows, threads, run_tile)
     return I8FeatureMap(result)

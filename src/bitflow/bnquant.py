@@ -199,15 +199,16 @@ def compute_threshold(p: BNParams) -> ThresholdParams:
 def threshold_bits(values: np.ndarray, t: ThresholdParams) -> np.ndarray:
     """Per-channel comparison bits for int8 activations (..., channels).
 
-    One compare per value: ``x >= tau`` is ``x > tau - 1`` and ``x <= tau``
-    is ``-x > -tau - 1``, so with ``sign`` = +1 (GE) or -1 (LE) both read
-    ``x * sign > sign * tau - 1``, all in int8. The limit clips to int8
-    without changing any decision, and the product cannot overflow because
-    ``values`` never holds -128 (the :class:`I8FeatureMap` invariant).
+    One compare per value, with no product array: ``x >= tau`` is
+    ``x > tau - 1``, and ``x <= tau`` is the negation of ``x > tau``, so
+    with ``le`` = 1 on LE channels both read ``(x > tau - 1 + le) ^ le``.
+    The limit clips to int8 without changing any decision, because
+    ``values`` lies in [-127, 127] (the :class:`I8FeatureMap` invariant).
     """
-    sign = np.where(t.direction == LE, -1, 1).astype(np.int8)
-    limit = np.clip(sign * t.tau.astype(np.int32) - 1, -128, 127).astype(np.int8)
-    return values * sign > limit
+    le = t.direction == LE
+    limit = np.clip(t.tau - 1 + le, -128, 127).astype(np.int8)
+    bits = values > limit
+    return np.bitwise_xor(bits, le, out=bits)
 
 
 def apply_threshold(x: I8FeatureMap, t: ThresholdParams) -> BitPlaneTensor:

@@ -179,8 +179,6 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
         )
     y = conv_fused(x, None, b.kernel, b.spec, threads=threads)
     z = bn_q_forward(y, b.qbn)
-    if z.dims != x.dims:
-        raise GraphError(f"shortcut dims {x.dims} != conv output dims {z.dims}")
     summed = z.values.astype(np.int16) + x.values.astype(np.int16)
     return I8FeatureMap(np.clip(summed, -127, 127).astype(np.int8))
 
@@ -213,7 +211,10 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
     last = model.blocks[-1]
     if isinstance(last, VggBlock) and last.thr is not None:
         raise GraphError("model must end with a terminal block emitting 8-bit values")
-    h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
+    signs = (x >= 0).view(np.int8)
+    signs *= 2
+    signs -= 1
+    h = I8FeatureMap(signs)
     for blk in model.blocks:
         run = run_vgg_block if isinstance(blk, VggBlock) else run_resnet_block
         h = run(h, blk, threads=threads)

@@ -1,5 +1,6 @@
 """Tests for the bench/convert/validate command line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -147,6 +148,25 @@ class TestCli:
         assert lines[0] == "config,variant,median_us,min_us,max_us,ratio"
         out = capsys.readouterr().out
         assert "median_us" in out
+
+    def test_bench_cli_json(self, tmp_path):
+        path = tmp_path / "out.json"
+        argv = ["bench", "--repeats", "5", "--warmup", "1", "--seed", "3",
+                "--json", str(path), "--config", str(_write_cfg(tmp_path))]
+        assert main(argv) == 0
+        record = json.loads(path.read_text())
+        assert record["numpy"] == np.__version__
+        assert record["cpu_count"] == os.cpu_count()
+        assert record["argv"] == ["bitflow", *argv]
+        assert record["seed"] == 3
+        sha = record["git_sha"]
+        assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
+        rows = record["rows"]
+        assert [(r["config"], r["variant"]) for r in rows] == [
+            ("t", "i8-fused"), ("t", "i32-staged")
+        ]
+        for r in rows:
+            assert 0 < r["min_us"] <= r["median_us"] <= r["max_us"]
 
     def test_bench_keeps_stanza_settings(self, tmp_path, monkeypatch):
         seen = []

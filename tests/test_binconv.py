@@ -22,6 +22,23 @@ from bitflow.bnquant import LE, BNParams, ThresholdParams, compute_threshold
 # plus a two-word site
 EDGE_CHANNELS = [1, 7, 8, 9, 16, 17, 32, 33, 64, 65]
 
+# (fh, fw, cin) on both sides of each of the fused kernel's type boundaries:
+# uint8 lanes up to 31 taps of 8-channel sites, an int16 accumulator up to
+# 255 taps of 64-bit words (512 wraps it), a clamp-free epilogue up to
+# fh*fw*cin = 127 (one and two words, uint8 and uint16 lanes)
+TYPE_BOUNDARIES = [
+    (1, 31, 8),
+    (4, 8, 8),
+    (15, 17, 64),
+    (16, 16, 64),
+    (16, 16, 128),
+    (1, 127, 1),
+    (1, 1, 127),
+    (1, 128, 1),
+    (1, 1, 128),
+    (4, 4, 8),
+]
+
 
 def perelement_conv(a, w, spec):
     """Fully scalar direct convolution; cross-checks the vectorized oracle."""
@@ -225,15 +242,19 @@ class TestConvI8:
 def fused_tile_bytes(x_dims, k, spec, rows):
     """Working set of one fused tile of ``rows`` output rows: the packed
     input rows it reads, the kernel, and per output word the XOR (one word),
-    count (1 byte) and lane (2 bytes) buffers, plus the int32 accumulator."""
+    count (1 byte) and lane buffers, plus the accumulator. A lane is 1 byte
+    while the filter's taps add at most 255 matches to it, else 2; the
+    accumulator 2 bytes while twice a site's matches stay below 2**15, else 4."""
     n, _, ow, out = output_shape(x_dims, k.dims, spec)
     _, _, w, cin = x_dims
     _, fh, fw, _ = k.dims
     wps = k.words_per_site
     word = 8 if wps > 1 else next(b for b in (1, 2, 4, 8) if cin <= 8 * b)
+    lane = 1 if fh * fw * 8 * word <= 255 else 2
+    acc = 2 if 2 * fh * fw * 8 * word * wps < 1 << 15 else 4
     in_rows = (rows - 1) * spec.stride[0] + fh
     packed = (in_rows * n * (w + 2 * spec.spatial_pad[1]) + fh * fw * out) * wps * word
-    return packed + rows * n * ow * out * (wps * (word + 3) + 4)
+    return packed + rows * n * ow * out * (wps * (word + 1 + lane) + acc)
 
 
 def assert_tile_fits_budget(x_dims, k, spec, rows):
@@ -407,6 +428,65 @@ class TestConvFused:
             assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
             assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
             assert (fused == 127).all()
+
+    @pytest.mark.parametrize(
+        "fh,fw,cin,lane,acc",
+        [
+            (1, 31, 8, np.uint8, np.int16),  # 31 taps * 8 bits = 248 matches per lane
+            (4, 8, 8, np.uint16, np.int16),  # 256 would wrap a uint8 lane
+            (15, 17, 64, np.uint16, np.int16),  # 2 * 255 words * 64 = 32640
+            (16, 16, 64, np.uint16, np.int32),  # 2 * 256 words * 64 = 32768
+            (8, 16, 128, np.uint16, np.int32),  # 2 * 128 taps * 2 words * 64
+            (1, 1100, 64, np.uint16, np.int32),  # drains mid-loop
+        ],
+    )
+    def test_lane_and_accumulator_types(self, fh, fw, cin, lane, acc):
+        wps = -(-cin // 64)
+        word = binconv._site_word(cin, wps)
+        assert binconv._lane_types(fh, fw, word, wps) == (np.dtype(lane), np.dtype(acc))
+
+    @pytest.mark.parametrize(
+        "fh,fw,cin,sums", [(3, 3, 8, 0), (1, 31, 8, 0), (4, 8, 8, 0), (3, 3, 65, 1), (1, 1100, 64, 2)]
+    )
+    def test_word_axis_sums(self, monkeypatch, fh, fw, cin, sums):
+        # a one-word site that never drains mid-loop hands its lanes to the
+        # epilogue; two words sum once; 1100 taps of 64 bits drain at 1023
+        calls = []
+        real = binconv._add_words
+        monkeypatch.setattr(binconv, "_add_words", lambda *a: calls.append(1) or real(*a))
+        x = I8FeatureMap(np.ones((1, fh, fw, cin), dtype=np.int8))
+        w = np.ones((2, fh, fw, cin), dtype=np.int8)
+        fused = conv_fused(x, None, pack_weights(w), ConvSpec()).values
+        assert len(calls) == sums
+        assert (fused == min(fh * fw * cin, 127)).all()
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("fh,fw,cin", TYPE_BOUNDARIES)
+    def test_type_boundaries_match_staged_and_oracle(self, fh, fw, cin, tile_rows):
+        rng = np.random.default_rng(fh * 1000 + fw * 10 + cin)
+        vals = rng.integers(-127, 128, size=(2, fh + 2, fw + 1, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        w = rng.choice([-1, 1], size=(3, fh, fw, cin)).astype(np.int8)
+        k = pack_weights(w)
+        spec = ConvSpec(spatial_pad=(min(1, fh - 1), min(1, fw - 1)))
+        for thr in (None, self._random_threshold(rng, cin)):
+            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+            assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
+            assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
+
+    @pytest.mark.parametrize("tile_rows", [1, None])
+    @pytest.mark.parametrize("fh,fw,cin", TYPE_BOUNDARIES)
+    def test_type_boundaries_all_ones(self, fh, fw, cin, tile_rows):
+        # every tap matches (or none does): +-fh*fw*cin, clamped only past 127
+        x = I8FeatureMap(np.ones((1, fh + 1, fw, cin), dtype=np.int8))
+        spec = ConvSpec()
+        for sign in (1, -1):
+            w = sign * np.ones((2, fh, fw, cin), dtype=np.int8)
+            k = pack_weights(w)
+            fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+            assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
+            assert np.array_equal(fused, oracle_i8(x.values, None, w, spec))
+            assert (fused == np.clip(sign * fh * fw * cin, -127, 127)).all()
 
     @pytest.mark.parametrize("tile_rows", [1, None])
     @pytest.mark.parametrize("threads", [1, 2])

@@ -183,6 +183,19 @@ class TestResnetBlock:
                 pack_weights(np.ones((5, 3, 3, 4))), ConvSpec(spatial_pad=(1, 1)), qbn
             )
 
+    @pytest.mark.parametrize(
+        "out,f,stride,pad",
+        [(4, 3, 2, 1), (4, 4, 1, 1), (4, 2, 1, 0), (5, 3, 1, 1)],
+        ids=["stride-2", "even-4x4", "even-2x2", "channel-change"],
+    )
+    def test_output_dims_must_equal_input_dims(self, out, f, stride, pad):
+        # each case breaks one condition; qbn matches the output channels
+        rng = np.random.default_rng(8)
+        qbn, _ = quantize_bn(bn(rng, out))
+        spec = ConvSpec((stride, stride), (pad, pad))
+        with pytest.raises(GraphError, match="identity shortcut"):
+            ResnetBlock(pack_weights(np.ones((out, f, f, 4))), spec, qbn)
+
     def test_rejects_packed_input(self):
         rng = np.random.default_rng(7)
         qbn, _ = quantize_bn(bn(rng, 4))
