@@ -102,7 +102,7 @@ class BenchReport:
         """The rows beside what produced them: git sha, numpy version, CPU
         count, the command and the workload seed."""
         record = {
-            "git_sha": _git_sha(),
+            "git_sha": _git_sha(Path(__file__).resolve().parents[2]),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "argv": ["bitflow", *argv],
@@ -112,21 +112,25 @@ class BenchReport:
         return json.dumps(record, indent=2) + "\n"
 
 
-def _git_sha() -> str | None:
-    """HEAD of the git checkout this package's source tree is the root of,
-    else None (an installed copy, or a tree inside another repository)."""
-    root = Path(__file__).resolve().parents[2]
-    try:
+def _git_sha(root: Path) -> str | None:
+    """HEAD of the git checkout rooted at ``root``, suffixed ``-dirty`` when
+    tracked files differ from it, else None (an installed copy, or a tree
+    inside another repository)."""
+
+    def git(*cmd):
         out = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--show-toplevel", "HEAD"],
-            capture_output=True, text=True, timeout=30,
+            ["git", "-C", str(root), *cmd], capture_output=True, text=True, timeout=30
         )
+        return out.stdout.split() if out.returncode == 0 else None
+
+    try:
+        found = git("rev-parse", "--show-toplevel", "HEAD")
+        if not found or len(found) != 2 or Path(found[0]).resolve() != root.resolve():
+            return None
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.TimeoutExpired):
         return None
-    lines = out.stdout.split()
-    if out.returncode == 0 and len(lines) == 2 and Path(lines[0]).resolve() == root:
-        return lines[1]
-    return None
+    return found[1] + ("-dirty" if dirty else "")
 
 
 def default_suite(repeats: int = 15, warmup: int = 3, threads: int = 1) -> list:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -160,13 +161,31 @@ class TestCli:
         assert record["argv"] == ["bitflow", *argv]
         assert record["seed"] == 3
         sha = record["git_sha"]
-        assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
+        assert sha is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", sha)
         rows = record["rows"]
         assert [(r["config"], r["variant"]) for r in rows] == [
             ("t", "i8-fused"), ("t", "i32-staged")
         ]
         for r in rows:
             assert 0 < r["min_us"] <= r["median_us"] <= r["max_us"]
+
+    def test_git_sha_marks_a_changed_tree(self, tmp_path):
+        def git(*cmd):
+            subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                            "-c", "user.email=t@t", *cmd], check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "f").write_text("a")
+        git("add", "f")
+        git("commit", "-q", "-m", "one")
+        sha = benchcli._git_sha(tmp_path)
+        assert re.fullmatch(r"[0-9a-f]{40}", sha)
+        (tmp_path / "new").write_text("untracked files do not count")
+        assert benchcli._git_sha(tmp_path) == sha
+        (tmp_path / "f").write_text("b")
+        assert benchcli._git_sha(tmp_path) == sha + "-dirty"
+        (tmp_path / "sub").mkdir()
+        assert benchcli._git_sha(tmp_path / "sub") is None  # not the checkout's root
 
     def test_bench_keeps_stanza_settings(self, tmp_path, monkeypatch):
         seen = []
