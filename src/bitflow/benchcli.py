@@ -236,33 +236,33 @@ def check_agreement(cfg: BenchConfig, variants, seed: int):
     return None
 
 
-def _time_fn(fn, repeats: int, warmup: int):
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append((time.perf_counter_ns() - t0) / 1000.0)
-    return statistics.median(times), min(times), max(times)
-
-
 def run_bench(configs, variants, seed: int = DEFAULT_SEED) -> BenchReport:
-    """Agreement-check then time every (config, variant) pair."""
+    """Agreement-check then time every (config, variant) pair.
+
+    Per config every variant warms up first; then each repeat times every
+    variant once in turn, so a burst of host load spreads over all of them.
+    """
     report = BenchReport()
     for cfg in configs:
         problem = check_agreement(cfg, variants, seed)
         if problem is not None:
             raise RuntimeError(f"variant disagreement, no timing: {problem}")
         x, kernel, w_float = _build_workload(cfg, seed)
-        medians = {}
-        rows = []
-        for variant in variants:
-            fn = _variant_runner(variant, cfg, x, kernel, w_float)
-            med, lo, hi = _time_fn(fn, cfg.repeats, cfg.warmup)
-            medians[variant] = med
-            rows.append(BenchRow(cfg.name, variant, med, lo, hi, None))
-        base = medians.get(BASELINE_VARIANT, medians[variants[0]])
+        runners = [_variant_runner(v, cfg, x, kernel, w_float) for v in variants]
+        for fn in runners:
+            for _ in range(cfg.warmup):
+                fn()
+        times = [[] for _ in runners]
+        for _ in range(cfg.repeats):
+            for fn, samples in zip(runners, times):
+                t0 = time.perf_counter_ns()
+                fn()
+                samples.append((time.perf_counter_ns() - t0) / 1000.0)
+        rows = [
+            BenchRow(cfg.name, v, statistics.median(t), min(t), max(t), None)
+            for v, t in zip(variants, times)
+        ]
+        base = next((r for r in rows if r.variant == BASELINE_VARIANT), rows[0]).median_us
         for row in rows:
             row.ratio = base / row.median_us
         report.rows.extend(rows)

@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitcore import (
     _MAX_ELEMENTS,
@@ -377,20 +378,17 @@ def staged_conv_i8(
 
 def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec) -> np.ndarray:
     """Receptive fields of an NHWC tensor as (n, oh, ow, fh*fw*c) float32
-    rows padded with -1, taps in the (i, j, channel) order of a kernel."""
+    rows padded with -1, taps in the (i, j, channel) order of a kernel: one
+    copy of a strided ``sliding_window_view`` of the padded input."""
     n, h, w, c = a.shape
     _, oh, ow, _ = output_shape(a.shape, (1, fh, fw, c), spec)
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     ap = np.full((n, h + 2 * ph, w + 2 * pw, c), float(PAD_VALUE), dtype=np.float32)
     ap[:, ph : ph + h, pw : pw + w, :] = a
-    cols = np.empty((n, oh, ow, fh, fw, c), dtype=np.float32)
-    for i in range(fh):
-        for j in range(fw):
-            cols[:, :, :, i, j] = ap[
-                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-            ]
-    return cols.reshape(n, oh, ow, fh * fw * c)
+    win = sliding_window_view(ap, (fh, fw), axis=(1, 2))
+    win = win[:, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, fh * fw * c)
 
 
 def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32FeatureMap:

@@ -46,26 +46,28 @@ STAGE_QUANTIZED = "quantized"
 
 
 def ste_sign(x):
-    """Sign forward (sign(0) = +1) with the straight-through gradient mask.
+    """Sign forward (sign(0) = sign(-0.0) = +1) with the straight-through
+    gradient mask.
 
-    Returns (values in {-1, +1}, mask in {0, 1}); the mask is 1 exactly
-    where -1 <= x <= 1, boundaries included.
+    Returns (float32 values ``2 * (x >= 0) - 1``, computed in place, and a
+    uint8 view of the bool mask); the mask is 1 exactly where -1 <= x <= 1,
+    boundaries included.
     """
     x = np.asarray(x)
-    values = np.where(x >= 0, 1.0, -1.0).astype(np.float32)
-    mask = (np.abs(x) <= 1.0).astype(np.uint8)
-    return values, mask
+    values = (x >= 0).astype(np.float32)
+    values *= 2
+    values -= 1
+    return values, (np.abs(x) <= 1.0).view(np.uint8)
 
 
 def clip_i8_surrogate(x):
     """Symmetric 8-bit clip with a pass-through gradient inside the range.
 
-    Returns (max(min(127, x), -127), mask); mask is 1 iff -127 <= x <= 127.
+    Returns (max(min(127, x), -127) in x's float dtype, uint8 mask); the
+    mask is 1 iff -127 <= x <= 127 and views the compare's bool result.
     """
     x = np.asarray(x)
-    values = np.clip(x, -127.0, 127.0)
-    mask = (np.abs(x) <= 127.0).astype(np.uint8)
-    return values, mask
+    return np.clip(x, -127.0, 127.0), (np.abs(x) <= 127.0).view(np.uint8)
 
 
 def _hard_tanh(x):
@@ -387,7 +389,7 @@ def _forward(state: TrainState, x, training: bool):
     """Run the block stack; returns (trunk, head input, logits, caches)."""
     clip_on = state.stage != STAGE_WARMUP
     resnet = state.variant == "resnet"
-    h = np.where(x >= 0, 1.0, -1.0).astype(np.float32) if resnet else x
+    h = ste_sign(x)[0] if resnet else x
     caches = []
     for blk in state.blocks:
         a, amask = ste_sign(h)
@@ -395,11 +397,7 @@ def _forward(state: TrainState, x, training: bool):
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
         cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
         f = cols @ wmat
-        if clip_on:
-            fc, cmask = clip_i8_surrogate(f)
-            fc = fc.astype(np.float32)
-        else:
-            fc, cmask = f, None
+        fc, cmask = clip_i8_surrogate(f) if clip_on else (f, None)
         if blk.bn is not None:
             y, bncache = _bn_forward(blk.bn, fc, training)
         else:
@@ -409,11 +407,9 @@ def _forward(state: TrainState, x, training: bool):
             z = y
             if clip_on:
                 z, zmask = clip_i8_surrogate(y)
-                z = z.astype(np.float32)
             out = z + h
             if clip_on:
                 out, omask = clip_i8_surrogate(out)
-                out = out.astype(np.float32)
         else:
             out = y
         caches.append(
@@ -474,16 +470,14 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         k = cache["wmat"].shape[0]
         o = blk.weight.shape[0]
         dwmat = cache["cols"].reshape(-1, k).T @ df.reshape(-1, o)
-        dw = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
-        grads[("weight", bi)] = dw.astype(np.float32)
+        grads[("weight", bi)] = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
         if bi > 0 or resnet:
             dcols = df @ cache["wmat"].T
             fh, fw = blk.weight.shape[1], blk.weight.shape[2]
             da = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
-            dh_prev = da * cache["amask"]
+            dh = da * cache["amask"]
             if resnet:
-                dh_prev = dh_prev + dshort
-            dh = dh_prev.astype(np.float32)
+                dh += dshort
     return grads
 
 

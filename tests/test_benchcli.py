@@ -97,6 +97,16 @@ class TestBench:
         a, b = samples[:2]
         assert abs(a - b) / max(a, b) <= 0.05
 
+    def test_repeats_interleave_variants_after_all_warm_up(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(benchcli, "check_agreement", lambda cfg, variants, seed: None)
+        monkeypatch.setattr(benchcli, "_variant_runner", lambda v, *_: lambda: calls.append(v))
+        variants = ["i8-fused", "i32-staged", "float-reference"]
+        report = run_bench([tiny_config(repeats=5, warmup=2)], variants, seed=1)
+        warmup = [v for v in variants for _ in range(2)]
+        assert calls == warmup + variants * 5
+        assert [r.variant for r in report.rows] == variants
+
     def test_agreement_failure_blocks_timing(self, monkeypatch):
         real = benchcli.conv_fused
 

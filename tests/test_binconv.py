@@ -93,6 +93,40 @@ def oracle_i8(vals, thr, w, spec):
     return np.clip(conv_float_oracle(a, w, spec).values, -127, 127)
 
 
+def pertap_im2col(a, fh, fw, spec):
+    """One site and one tap at a time; cross-checks the gathered rows."""
+    n, oh, ow, _ = output_shape(a.shape, (1, fh, fw, a.shape[3]), spec)
+    c = a.shape[3]
+    sh, sw = spec.stride
+    ph, pw = spec.spatial_pad
+    rows = np.empty((n, oh, ow, fh * fw * c), dtype=np.float32)
+    for y in range(oh):
+        for x in range(ow):
+            for i in range(fh):
+                for j in range(fw):
+                    iy, ix = y * sh + i - ph, x * sw + j - pw
+                    inside = 0 <= iy < a.shape[1] and 0 <= ix < a.shape[2]
+                    tap = rows[:, y, x, (i * fw + j) * c : (i * fw + j + 1) * c]
+                    tap[...] = a[:, iy, ix, :] if inside else -1
+    return rows
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (8, 8)])
+    @pytest.mark.parametrize("pad", [(0, 0), (1, 2)])
+    def test_matches_pertap_loop(self, stride, pad):
+        rng = np.random.default_rng(23)
+        spec = ConvSpec(stride, pad)
+        for fh, fw in ((2, 3), (3, 5), (8, 8)):
+            for c in (1, 8, 64):
+                for dtype in (np.int8, np.float32):
+                    for n in (1, 3):
+                        a = rng.integers(-127, 128, size=(n, 10, 9, c)).astype(dtype)
+                        got = binconv.im2col(a, fh, fw, spec)
+                        assert got.dtype == np.float32
+                        assert got.tobytes() == pertap_im2col(a, fh, fw, spec).tobytes()
+
+
 class TestOracle:
     def test_single_tap_identity(self):
         a = np.ones((1, 1, 1, 1), dtype=np.int8)

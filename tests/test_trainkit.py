@@ -65,6 +65,31 @@ class TestSurrogates:
         assert v.tolist() == [50.0, 127.0, -127.0, 127.0, -127.0]
         assert m.tolist() == [1, 0, 0, 1, 1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_surrogates_equal_the_where_formulas(self, dtype):
+        # sign and masks against the np.where/astype forms they replace, bit
+        # for bit: zeros of both signs, +-1 and +-127, each with its nearest
+        # neighbours in the dtype, then random values around both windows
+        edges = np.array([0.0, -0.0, 1.0, -1.0, 127.0, -127.0], dtype=dtype)
+        rng = np.random.default_rng(17)
+        x = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, dtype(np.inf)),
+                np.nextafter(edges, dtype(-np.inf)),
+                rng.uniform(-2, 2, 3000).astype(dtype),
+                (rng.standard_normal(3000) * 150).astype(dtype),
+            ]
+        ).reshape(2, -1)
+        v, m = ste_sign(x)
+        assert (v.dtype, m.dtype) == (np.float32, np.uint8)
+        assert v.tobytes() == np.where(x >= 0, 1.0, -1.0).astype(np.float32).tobytes()
+        assert m.tobytes() == (np.abs(x) <= 1.0).astype(np.uint8).tobytes()
+        c, cm = clip_i8_surrogate(x)
+        assert (c.dtype, cm.dtype) == (dtype, np.uint8)
+        assert c.tobytes() == np.clip(x, -127.0, 127.0).tobytes()
+        assert cm.tobytes() == (np.abs(x) <= 127.0).astype(np.uint8).tobytes()
+
     def test_grad_check_sign(self):
         pts = np.linspace(-3, 3, 401)
         report = grad_check("sign", pts)
