@@ -95,8 +95,8 @@ def oracle_i8(vals, thr, w, spec):
 
 def pertap_im2col(a, fh, fw, spec):
     """One site and one tap at a time; cross-checks the gathered rows."""
-    n, oh, ow, _ = output_shape(a.shape, (1, fh, fw, a.shape[3]), spec)
     c = a.shape[3]
+    n, oh, ow, _ = output_shape(a.shape, (1, fh, fw, c), spec)
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     rows = np.empty((n, oh, ow, fh * fw * c), dtype=np.float32)
