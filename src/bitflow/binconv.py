@@ -97,10 +97,6 @@ class I32FeatureMap:
             raise ValueError(f"expected int32 values, got {self.values.dtype}")
         self.values.setflags(write=False)
 
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return tuple(self.values.shape)
-
 
 def output_shape(in_dims, k_dims, spec: ConvSpec) -> tuple[int, int, int, int]:
     """Output dims of a direct convolution; raises on impossible geometry or size."""
@@ -407,7 +403,7 @@ def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32Featur
         raise ValueError(
             f"oracle is exact below 2**24 taps, got {fh}x{fw}x{cin} = {fh * fw * cin}"
         )
-    if not (np.isin(a, (-1, 1)).all() and np.isin(w, (-1, 1)).all()):
+    if not (((a == 1) | (a == -1)).all() and ((w == 1) | (w == -1)).all()):
         raise ValueError("oracle operands must be +-1 valued")
     wmat = w.reshape(out, -1).T.astype(np.float32)
     return I32FeatureMap((im2col(a, fh, fw, spec) @ wmat).astype(np.int32))

@@ -68,11 +68,6 @@ class BitPlaneTensor:
     def words_per_pixel(self) -> int:
         return self.words.shape[3]
 
-    @property
-    def channel_pad(self) -> int:
-        """Zero bits appended to each pixel to round channels up to words."""
-        return self.words_per_pixel * WORD_BITS - self.channels
-
 
 @dataclass(frozen=True, eq=False)
 class PackedKernelSet:

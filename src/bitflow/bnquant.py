@@ -77,6 +77,8 @@ class ThresholdParams:
             raise ValueError("tau must be int16 and direction uint8")
         if (np.abs(self.tau.astype(np.int32)) > 128).any():
             raise ValueError("tau out of [-128, 128]")
+        if (self.direction > LE).any():
+            raise ValueError("invalid threshold direction flags")
 
     @property
     def channels(self) -> int:
@@ -344,48 +346,3 @@ def bn_q_error_bounds(q: QBNParams, p: BNParams) -> tuple[np.ndarray, np.ndarray
     eps_m = np.abs(q.deploy_fmt.dequantize(q.m_q) - m_true)
     eps_c = np.abs(q.deploy_fmt.dequantize(q.c_q) - c_true)
     return eps_m, eps_c
-
-
-def threshold_to_bytes(t: ThresholdParams) -> bytes:
-    """Serialize thresholds: tau as little-endian int16, then direction bytes."""
-    return t.tau.astype("<i2").tobytes() + t.direction.tobytes()
-
-
-def threshold_from_bytes(buf: bytes, channels: int) -> ThresholdParams:
-    expect = 3 * channels
-    if len(buf) != expect:
-        raise ValueError(f"threshold blob is {len(buf)} bytes, expected {expect}")
-    tau = np.frombuffer(buf, dtype="<i2", count=channels).astype(np.int16)
-    direction = np.frombuffer(buf, dtype=np.uint8, offset=2 * channels).copy()
-    if not np.isin(direction, (GE, LE)).all():
-        raise ValueError("invalid threshold direction flags")
-    return ThresholdParams(tau, direction)
-
-
-def qbn_to_bytes(q: QBNParams) -> bytes:
-    """Serialize quantized tables.
-
-    One leading byte packs both fractional widths (low nibble: shared
-    parameter format, high nibble: folded deployment format), then the
-    per-channel little-endian 16-bit tables in order gamma, beta, mu,
-    sigma, m, c.
-    """
-    head = bytes([q.fmt.frac_bits | (q.deploy_fmt.frac_bits << 4)])
-    tables = (q.gamma_q, q.beta_q, q.mu_q, q.sigma_q, q.m_q, q.c_q)
-    return head + b"".join(t.astype("<i2").tobytes() for t in tables)
-
-
-def qbn_from_bytes(buf: bytes, channels: int) -> QBNParams:
-    expect = 1 + 12 * channels
-    if len(buf) != expect:
-        raise ValueError(f"qbn blob is {len(buf)} bytes, expected {expect}")
-    fmt = QFormat(15 - (buf[0] & 0x0F))
-    deploy_fmt = QFormat(15 - (buf[0] >> 4))
-    tables = []
-    off = 1
-    for _ in range(6):
-        tables.append(
-            np.frombuffer(buf, dtype="<i2", count=channels, offset=off).astype(np.int16)
-        )
-        off += 2 * channels
-    return QBNParams(fmt, *tables[:4], deploy_fmt, *tables[4:])

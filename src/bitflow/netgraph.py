@@ -15,12 +15,22 @@ dense reference ``run_float_reference`` runs all three block types.
 
 Model file layout (all little-endian): magic ``BDF1``, u16 version,
 u16 layer count, per layer a tag byte plus kernel dims (u32 x4), stride
-and padding (u32 x4), packed kernel words (u64), and the block's tables;
-a CRC-32 of everything before it closes the file. The CRC is checked
-before any parsing, so every single-byte corruption is rejected. Kernel
-words with a set channel-pad bit are rejected too: the match count
-assumes those bits are zero. So is spatial padding as large as the
-filter, which only bloats the output with all-pad sites.
+and padding (u32 x4), packed kernel words (u64), one byte, and the
+block's tables, one value per output channel each; a CRC-32 of
+everything before it closes the file. Per tag (``_LAYOUT``):
+
+* VGG (1): a flag byte, 0 for a terminal block with no tables, or 1 and
+  then ``tau`` (i16) and ``direction`` (u8);
+* residual (2): a byte packing both fractional widths (parameter format
+  low nibble, deployment format high), then ``gamma_q``, ``beta_q``,
+  ``mu_q``, ``sigma_q``, ``m_q``, ``c_q`` (i16 each), always present;
+* float (3): a flag byte, 0 for a bare convolution with no tables, or 1
+  and then ``gamma``, ``beta``, ``mu``, ``sigma`` (f64 each).
+
+The CRC is checked before any parsing, so every single-byte corruption is
+rejected. Kernel words with a set channel-pad bit are rejected too: the
+match count assumes those bits are zero. So is spatial padding as large
+as the filter, which only bloats the output with all-pad sites.
 """
 
 from __future__ import annotations
@@ -45,16 +55,13 @@ from .bnquant import (
     LE,
     BNParams,
     QBNParams,
+    QFormat,
     ThresholdParams,
     apply_threshold,
     bn_float,
     bn_q_forward,
     compute_threshold,
-    qbn_from_bytes,
-    qbn_to_bytes,
     quantize_bn,
-    threshold_from_bytes,
-    threshold_to_bytes,
 )
 
 MAGIC = b"BDF1"
@@ -303,35 +310,34 @@ def convert_model(model: Model, mode: str) -> tuple[Model, ConversionReport]:
 
 # -- serialization -----------------------------------------------------------
 
+# Per block type: its tag, the field holding its tables, and each table's
+# name and file dtype; a table holds one value per output channel.
+_LAYOUT = {
+    VggBlock: (_TAG_VGG, "thr", {"tau": "<i2", "direction": "u1"}),
+    ResnetBlock: (
+        _TAG_RESNET,
+        "qbn",
+        dict.fromkeys(["gamma_q", "beta_q", "mu_q", "sigma_q", "m_q", "c_q"], "<i2"),
+    ),
+    FloatBlock: (_TAG_FLOATBN, "bn", dict.fromkeys(["gamma", "beta", "mu", "sigma"], "<f8")),
+}
+_BY_TAG = {tag: cls for cls, (tag, _, _) in _LAYOUT.items()}
+
 
 def _block_bytes(blk) -> bytes:
-    if isinstance(blk, VggBlock):
-        tag = _TAG_VGG
-    elif isinstance(blk, ResnetBlock):
-        tag = _TAG_RESNET
-    elif isinstance(blk, FloatBlock):
-        tag = _TAG_FLOATBN
-    else:
+    if type(blk) not in _LAYOUT:
         raise GraphError(f"cannot serialize block type {type(blk).__name__}")
-    k, spec = blk.kernel, blk.spec
-    out = bytearray()
-    out += struct.pack("<B4I4I", tag, *k.dims, *spec.stride, *spec.spatial_pad)
+    tag, field, tables = _LAYOUT[type(blk)]
+    k, spec, params = blk.kernel, blk.spec, getattr(blk, field)
+    out = struct.pack("<B4I4I", tag, *k.dims, *spec.stride, *spec.spatial_pad)
     out += k.words.astype("<u8").tobytes()
-    if tag == _TAG_VGG:
-        if blk.thr is None:
-            out += b"\x00"
-        else:
-            out += b"\x01" + threshold_to_bytes(blk.thr)
-    elif tag == _TAG_RESNET:
-        out += qbn_to_bytes(blk.qbn)
-    else:
-        if blk.bn is None:
-            out += b"\x00"
-        else:
-            out += b"\x01"
-            for v in (blk.bn.gamma, blk.bn.beta, blk.bn.mu, blk.bn.sigma):
-                out += np.asarray(v, dtype="<f8").tobytes()
-    return bytes(out)
+    if params is None:
+        return out + b"\x00"
+    head = 1
+    if isinstance(params, QBNParams):  # parameter format's width low, deployment's high
+        head = params.fmt.frac_bits | (params.deploy_fmt.frac_bits << 4)
+    out += bytes([head])
+    return out + b"".join(np.asarray(getattr(params, n), t).tobytes() for n, t in tables.items())
 
 
 def model_to_bytes(model: Model) -> bytes:
@@ -356,9 +362,31 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _read_tables(cur: _Cursor, cls, out: int):
+    (head,) = cur.unpack("<B")
+    if cls is not ResnetBlock:  # a residual block's 0 means formats (0, 0)
+        if head not in (0, 1):
+            raise ValueError(f"bad {'threshold' if cls is VggBlock else 'batch-norm'} flag")
+        if head == 0:
+            return None
+    arrays = [
+        np.frombuffer(cur.take(out * t.itemsize), t).astype(t.newbyteorder("="))
+        for t in map(np.dtype, _LAYOUT[cls][2].values())
+    ]
+    if cls is VggBlock:
+        return ThresholdParams(*arrays)
+    if cls is FloatBlock:
+        return BNParams(*arrays)
+    fmt, deploy_fmt = QFormat(15 - (head & 0x0F)), QFormat(15 - (head >> 4))
+    return QBNParams(fmt, *arrays[:4], deploy_fmt, *arrays[4:])
+
+
 def _read_block(cur: _Cursor):
     tag, out, fh, fw, cin, sh, sw, ph, pw = cur.unpack("<B4I4I")
     try:
+        if tag not in _BY_TAG:
+            raise ValueError(f"unknown layer tag {tag}")
+        cls = _BY_TAG[tag]
         spec = ConvSpec((sh, sw), (ph, pw))
         wps = words_per_pixel(cin) if cin else 0
         if min(out, fh, fw, cin) <= 0:
@@ -373,27 +401,7 @@ def _read_block(cur: _Cursor):
         )
         _check_pad_bits(words, cin)
         kernel = PackedKernelSet((out, fh, fw, cin), words)
-        if tag == _TAG_VGG:
-            (has_thr,) = cur.unpack("<B")
-            if has_thr not in (0, 1):
-                raise ValueError("bad threshold flag")
-            thr = threshold_from_bytes(cur.take(3 * out), out) if has_thr else None
-            return VggBlock(kernel, spec, thr)
-        if tag == _TAG_RESNET:
-            return ResnetBlock(kernel, spec, qbn_from_bytes(cur.take(1 + 12 * out), out))
-        if tag == _TAG_FLOATBN:
-            (has_bn,) = cur.unpack("<B")
-            if has_bn not in (0, 1):
-                raise ValueError("bad batch-norm flag")
-            bn = None
-            if has_bn:
-                tables = [
-                    np.frombuffer(cur.take(8 * out), dtype="<f8").astype(np.float64)
-                    for _ in range(4)
-                ]
-                bn = BNParams(*tables)
-            return FloatBlock(kernel, spec, bn)
-        raise ValueError(f"unknown layer tag {tag}")
+        return cls(kernel, spec, _read_tables(cur, cls, out))
     except (ValueError, GraphError) as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -158,10 +158,15 @@ class TestOracle:
             conv_float_oracle(a, w, spec)
 
     def test_rejects_non_binary(self):
-        a = np.zeros((1, 2, 2, 1), dtype=np.int8)
-        w = np.ones((1, 1, 1, 1), dtype=np.int8)
-        with pytest.raises(ValueError):
-            conv_float_oracle(a, w, ConvSpec())
+        ones = [np.ones((1, 2, 2, 1), dtype=np.int8), np.ones((1, 1, 1, 1), dtype=np.int8)]
+        conv_float_oracle(*ones, ConvSpec())
+        for bad in (0, 2, np.int8(-128), 0.5, np.nan):
+            for which in (0, 1):  # activations, then weights
+                operands = list(ones)
+                operands[which] = ones[which].astype(np.asarray(bad).dtype)
+                operands[which].flat[-1] = bad
+                with pytest.raises(ValueError, match="must be \\+-1 valued"):
+                    conv_float_oracle(*operands, ConvSpec())
 
 
 class TestConvI32:

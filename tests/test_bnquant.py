@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bitflow import bnquant
-from bitflow.bitcore import I8FeatureMap, unpack_bits
+from bitflow.binconv import ConvSpec
+from bitflow.bitcore import I8FeatureMap, pack_weights, unpack_bits
 from bitflow.bnquant import (
     GE,
     LE,
@@ -21,6 +22,7 @@ from bitflow.bnquant import (
     threshold_bits,
     ThresholdParams,
 )
+from bitflow.netgraph import Model, ResnetBlock, VggBlock, model_from_bytes, model_to_bytes
 
 
 def params(gamma, beta, mu, sigma):
@@ -92,6 +94,12 @@ class TestComputeThreshold:
         assert t.tau[0] == 128
         x = I8FeatureMap(np.full((1, 1, 1, 1), 127, dtype=np.int8))
         assert unpack_bits(apply_threshold(x, t))[0, 0, 0, 0] == -1
+
+    def test_direction_other_than_ge_or_le_rejected(self):
+        tau = np.zeros(2, dtype=np.int16)
+        with pytest.raises(ValueError, match="invalid threshold direction"):
+            ThresholdParams(tau, np.array([GE, 2], dtype=np.uint8))
+        ThresholdParams(tau, np.array([GE, LE], dtype=np.uint8))
 
 
 class TestThresholdEquivalence:
@@ -230,8 +238,9 @@ class TestQuantizeBN:
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(3)
         qbn, _ = quantize_bn(random_params(rng, 5))
-        blob = bnquant.qbn_to_bytes(qbn)
-        back = bnquant.qbn_from_bytes(blob, 5)
+        kernel = pack_weights(rng.choice([-1.0, 1.0], size=(5, 3, 3, 5)))
+        blk = ResnetBlock(kernel, ConvSpec(spatial_pad=(1, 1)), qbn)
+        back = model_from_bytes(model_to_bytes(Model([blk]))).blocks[0].qbn
         assert back.fmt == qbn.fmt and back.deploy_fmt == qbn.deploy_fmt
         for a, b in (
             (back.gamma_q, qbn.gamma_q),
@@ -243,12 +252,28 @@ class TestQuantizeBN:
         ):
             assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore:layer 0. thresholds beyond")
     def test_threshold_serialization_roundtrip(self):
         rng = np.random.default_rng(4)
         t = compute_threshold(random_params(rng, 9))
-        back = bnquant.threshold_from_bytes(bnquant.threshold_to_bytes(t), 9)
+        kernel = pack_weights(rng.choice([-1.0, 1.0], size=(9, 3, 3, 4)))
+        blk = VggBlock(kernel, ConvSpec(spatial_pad=(1, 1)), t)
+        back = model_from_bytes(model_to_bytes(Model([blk]))).blocks[0].thr
         assert np.array_equal(back.tau, t.tau)
         assert np.array_equal(back.direction, t.direction)
+
+    def test_sigma_bump_warns_and_roundtrips(self):
+        # sigma 1e-9 rounds to zero in the fitted format, so it is bumped
+        # to one quantization step
+        p = BNParams(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2), np.array([1e-9, 1.0]))
+        with pytest.warns(RuntimeWarning, match="sigma rounded to zero on channels \\[0\\]"):
+            qbn, noisy = quantize_bn(p)
+        assert qbn.sigma_q[0] == 1 and noisy.sigma[0] == qbn.fmt.resolution
+        kernel = pack_weights(np.ones((2, 3, 3, 2)))
+        blk = ResnetBlock(kernel, ConvSpec(spatial_pad=(1, 1)), qbn)
+        back = model_from_bytes(model_to_bytes(Model([blk]))).blocks[0].qbn
+        assert back.sigma_q[0] == 1 and back.fmt == qbn.fmt
+        assert np.array_equal(back.m_q, qbn.m_q) and np.array_equal(back.c_q, qbn.c_q)
 
 
 class TestBnQForward:
