@@ -45,6 +45,11 @@ STAGE_QUANTIZED = "quantized"
 # -- surrogate ops -----------------------------------------------------------
 
 
+def _window_mask(x, t):
+    """uint8 view of ``-t <= x <= t``, from two compares (no float temporary)."""
+    return ((x >= -t) & (x <= t)).view(np.uint8)
+
+
 def ste_sign(x):
     """Sign forward (sign(0) = sign(-0.0) = +1) with the straight-through
     gradient mask.
@@ -57,17 +62,17 @@ def ste_sign(x):
     values = (x >= 0).astype(np.float32)
     values *= 2
     values -= 1
-    return values, (np.abs(x) <= 1.0).view(np.uint8)
+    return values, _window_mask(x, 1.0)
 
 
 def clip_i8_surrogate(x):
     """Symmetric 8-bit clip with a pass-through gradient inside the range.
 
     Returns (max(min(127, x), -127) in x's float dtype, uint8 mask); the
-    mask is 1 iff -127 <= x <= 127 and views the compare's bool result.
+    mask is 1 iff -127 <= x <= 127 and views the compares' bool result.
     """
     x = np.asarray(x)
-    return np.clip(x, -127.0, 127.0), (np.abs(x) <= 127.0).view(np.uint8)
+    return np.clip(x, -127.0, 127.0), _window_mask(x, 127.0)
 
 
 def _hard_tanh(x):
@@ -342,46 +347,76 @@ def init_state(task: ToyTask) -> TrainState:
 
 def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
     """Adjoint of :func:`binconv.im2col`: add row gradients back onto the
-    input positions they were read from (padding is dropped)."""
+    input positions they were read from (padding is dropped). Windows that
+    do not overlap (stride >= filter) take all taps in one add, others one
+    tap at a time; both add onto zeros, so a -0.0 gradient lands as +0.0."""
     n, h, w, c = in_shape
     _, oh, ow, _ = dcols.shape
     (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
-    dap = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
     taps = dcols.reshape(n, oh, ow, fh, fw, c)
-    for i in range(fh):
-        for j in range(fw):
-            dap[
-                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-            ] += taps[:, :, :, i, j]
+    if sh >= fh and sw >= fw:
+        # a stride wider than the filter leaves gaps past the last window
+        hp, wp = max(h + 2 * ph, oh * sh), max(w + 2 * pw, ow * sw)
+        dap = np.zeros((n, hp, wp, c), dtype=np.float32)
+        grid = dap[:, : oh * sh, : ow * sw].reshape(n, oh, sh, ow, sw, c)
+        grid[:, :, :fh, :, :fw] += taps.transpose(0, 1, 3, 2, 4, 5)
+    else:
+        dap = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
+        for i in range(fh):
+            for j in range(fw):
+                dap[
+                    :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
+                ] += taps[:, :, :, i, j]
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
 def _bn_forward(bn: BNLayer, x, training: bool):
-    if bn.frozen:
-        y = bn.gamma * (x - bn.frozen_mu) / bn.frozen_sigma + bn.beta
-        return y, {"frozen_sigma": bn.frozen_sigma}
-    if not training:
-        sigma = np.sqrt(bn.run_var + _BN_EPS)
-        return bn.gamma * (x - bn.run_mu) / sigma + bn.beta, None
+    """``gamma * (x - mu) / sigma + beta`` per channel, in place in fresh
+    buffers and in that operation order; training mode uses and caches
+    batch statistics and updates the running ones."""
+    if bn.frozen or not training:
+        if bn.frozen:
+            mu, sigma = bn.frozen_mu, bn.frozen_sigma
+        else:
+            mu, sigma = bn.run_mu, np.sqrt(bn.run_var + _BN_EPS)
+        y = x - mu
+        np.multiply(bn.gamma, y, out=y)
+        y /= sigma
+        y += bn.beta
+        return y, {"frozen_sigma": sigma} if bn.frozen else None
     axes = (0, 1, 2)
     mu = x.mean(axes)
-    var = x.var(axes)
+    xhat = x - mu
+    # x.var(axes) is exactly this: the mean of the squared deviations
+    sq = np.square(xhat)
+    var = sq.mean(axes)
     sigma = np.sqrt(var + _BN_EPS)
-    xhat = (x - mu) / sigma
+    xhat /= sigma
     bn.run_mu += _BN_MOMENTUM * (mu - bn.run_mu)
     bn.run_var += _BN_MOMENTUM * (var - bn.run_var)
-    return bn.gamma * xhat + bn.beta, {"xhat": xhat, "sigma": sigma}
+    y = np.multiply(bn.gamma, xhat, out=sq)
+    y += bn.beta
+    return y, {"xhat": xhat, "sigma": sigma}
 
 
 def _bn_backward(bn: BNLayer, cache, dy):
+    """(dx, dgamma, dbeta) of :func:`_bn_forward`, in two full-size buffers."""
     if bn.frozen:
         return dy * (bn.gamma / cache["frozen_sigma"]), None, None
     axes = (0, 1, 2)
     xhat, sigma = cache["xhat"], cache["sigma"]
-    dgamma = (dy * xhat).sum(axes)
+    prod = np.multiply(dy, xhat)
+    dgamma = prod.sum(axes)
     dbeta = dy.sum(axes)
-    dxhat = dy * bn.gamma
-    dx = (dxhat - dxhat.mean(axes) - xhat * (dxhat * xhat).mean(axes)) / sigma
+    # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma
+    dx = np.multiply(dy, bn.gamma)
+    mean_dxhat = dx.mean(axes)
+    np.multiply(dx, xhat, out=prod)
+    mean_prod = prod.mean(axes)
+    np.multiply(xhat, mean_prod, out=prod)
+    dx -= mean_dxhat
+    dx -= prod
+    dx /= sigma
     return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
 
 
@@ -397,11 +432,13 @@ def _forward(state: TrainState, x, training: bool):
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
         cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
         f = cols @ wmat
-        fc, cmask = clip_i8_surrogate(f) if clip_on else (f, None)
+        cmask = _window_mask(f, 127.0) if clip_on else None
+        if clip_on:
+            np.clip(f, -127.0, 127.0, out=f)  # f is fresh and cached nowhere
         if blk.bn is not None:
-            y, bncache = _bn_forward(blk.bn, fc, training)
+            y, bncache = _bn_forward(blk.bn, f, training)
         else:
-            y, bncache = fc, None
+            y, bncache = f, None
         zmask = omask = None
         if resnet:
             z = y
@@ -474,8 +511,8 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         if bi > 0 or resnet:
             dcols = df @ cache["wmat"].T
             fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-            da = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
-            dh = da * cache["amask"]
+            dh = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
+            dh *= cache["amask"]
             if resnet:
                 dh += dshort
     return grads

@@ -1,9 +1,12 @@
 """Tests for surrogate ops, the toy task, and the two-stage trainer."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from bitflow import netgraph as ng
+from bitflow.binconv import ConvSpec, im2col
 from bitflow.bitcore import unpack_weights
 from bitflow import trainkit as tk
 from bitflow.trainkit import (
@@ -67,10 +70,13 @@ class TestSurrogates:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_surrogates_equal_the_where_formulas(self, dtype):
-        # sign and masks against the np.where/astype forms they replace, bit
-        # for bit: zeros of both signs, +-1 and +-127, each with its nearest
-        # neighbours in the dtype, then random values around both windows
-        edges = np.array([0.0, -0.0, 1.0, -1.0, 127.0, -127.0], dtype=dtype)
+        # sign and masks against the np.where/np.abs forms they replace, bit
+        # for bit: zeros of both signs, +-1, +-127, +-inf and NaN, each with
+        # its nearest neighbours in the dtype, then random values around
+        # both windows
+        edges = np.array(
+            [0.0, -0.0, 1.0, -1.0, 127.0, -127.0, np.inf, -np.inf, np.nan], dtype=dtype
+        )
         rng = np.random.default_rng(17)
         x = np.concatenate(
             [
@@ -80,7 +86,7 @@ class TestSurrogates:
                 rng.uniform(-2, 2, 3000).astype(dtype),
                 (rng.standard_normal(3000) * 150).astype(dtype),
             ]
-        ).reshape(2, -1)
+        ).reshape(3, -1)
         v, m = ste_sign(x)
         assert (v.dtype, m.dtype) == (np.float32, np.uint8)
         assert v.tobytes() == np.where(x >= 0, 1.0, -1.0).astype(np.float32).tobytes()
@@ -321,3 +327,219 @@ class TestExportParity:
         assert np.array_equal(
             ng.run_model(converted, x).values, ng.run_model(direct, x).values
         )
+
+
+# -- numerics of the training step -----------------------------------------
+#
+# The three functions below are trainkit's earlier _col2im, _bn_forward and
+# _bn_backward, kept verbatim: the shipped ones compute in fewer full-size
+# passes and must give the same bytes.
+
+
+def _ref_col2im(dcols, in_shape, fh, fw, spec):
+    n, h, w, c = in_shape
+    _, oh, ow, _ = dcols.shape
+    (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
+    dap = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
+    taps = dcols.reshape(n, oh, ow, fh, fw, c)
+    for i in range(fh):
+        for j in range(fw):
+            dap[
+                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
+            ] += taps[:, :, :, i, j]
+    return dap[:, ph : ph + h, pw : pw + w, :]
+
+
+def _ref_bn_forward(bn, x, training):
+    if bn.frozen:
+        y = bn.gamma * (x - bn.frozen_mu) / bn.frozen_sigma + bn.beta
+        return y, {"frozen_sigma": bn.frozen_sigma}
+    if not training:
+        sigma = np.sqrt(bn.run_var + tk._BN_EPS)
+        return bn.gamma * (x - bn.run_mu) / sigma + bn.beta, None
+    axes = (0, 1, 2)
+    mu = x.mean(axes)
+    var = x.var(axes)
+    sigma = np.sqrt(var + tk._BN_EPS)
+    xhat = (x - mu) / sigma
+    bn.run_mu += tk._BN_MOMENTUM * (mu - bn.run_mu)
+    bn.run_var += tk._BN_MOMENTUM * (var - bn.run_var)
+    return bn.gamma * xhat + bn.beta, {"xhat": xhat, "sigma": sigma}
+
+
+def _ref_bn_backward(bn, cache, dy):
+    if bn.frozen:
+        return dy * (bn.gamma / cache["frozen_sigma"]), None, None
+    axes = (0, 1, 2)
+    xhat, sigma = cache["xhat"], cache["sigma"]
+    dgamma = (dy * xhat).sum(axes)
+    dbeta = dy.sum(axes)
+    dxhat = dy * bn.gamma
+    dx = (dxhat - dxhat.mean(axes) - xhat * (dxhat * xhat).mean(axes)) / sigma
+    return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
+
+
+# (fh, fw, stride, pad, input h, w): overlapping, strided, non-overlapping
+# with and without gaps between windows, rows past the last window
+COL2IM_GEOMETRIES = {
+    "3x3-pad1": (3, 3, 1, 1, 7, 6),
+    "3x3-stride2": (3, 3, 2, 1, 9, 8),
+    "8x8-stride8": (8, 8, 8, 0, 17, 16),
+    "2x2-stride3": (2, 2, 3, 0, 8, 10),
+    "3x3-stride3-pad1": (3, 3, 3, 1, 7, 8),
+    "1x1-stride2": (1, 1, 2, 0, 5, 6),
+}
+
+
+class TestCol2im:
+    @staticmethod
+    def _operands(geometry, seed):
+        fh, fw, s, p, h, w = COL2IM_GEOMETRIES[geometry]
+        spec = ConvSpec(stride=(s, s), spatial_pad=(p, p))
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-3, 4, size=(2, h, w, 3)).astype(np.float32)
+        rows = im2col(x, fh, fw, spec)
+        g = rng.integers(-3, 4, size=rows.shape).astype(np.float32)
+        return x, rows, g, (fh, fw, spec)
+
+    @pytest.mark.parametrize("geometry", sorted(COL2IM_GEOMETRIES))
+    def test_adjoint_of_im2col(self, geometry):
+        # im2col pads with -1, an affine offset that im2col(0) removes;
+        # integer operands keep every sum exact
+        x, rows, g, (fh, fw, spec) = self._operands(geometry, 23)
+        linear = rows - im2col(np.zeros_like(x), fh, fw, spec)
+        back = tk._col2im(g, x.shape, fh, fw, spec)
+        assert back.shape == x.shape and back.dtype == np.float32
+        lhs = (linear.astype(np.float64) * g).sum()
+        assert lhs == (x.astype(np.float64) * back).sum()
+
+    @pytest.mark.parametrize("geometry", sorted(COL2IM_GEOMETRIES))
+    def test_bytes_equal_the_pertap_loop(self, geometry):
+        x, _, g, (fh, fw, spec) = self._operands(geometry, 29)
+        # signed zeros: the loop adds onto +0.0, so a -0.0 tap lands as +0.0
+        g[g == 1] = -0.0
+        g[g == 2] = 0.0
+        got = tk._col2im(g, x.shape, fh, fw, spec)
+        assert got.tobytes() == _ref_col2im(g, x.shape, fh, fw, spec).tobytes()
+
+
+class TestBatchNormGradients:
+    """_bn_backward against central differences of sum(w * _bn_forward(x))."""
+
+    @staticmethod
+    def _layer(c, frozen):
+        rng = np.random.default_rng(41)
+        bn = tk.BNLayer(
+            gamma=rng.uniform(0.5, 2.0, c),
+            beta=rng.uniform(-1.0, 1.0, c),
+            run_mu=np.zeros(c),
+            run_var=np.ones(c),
+        )
+        if frozen:
+            bn.frozen = True
+            bn.frozen_mu = rng.uniform(-1.0, 1.0, c)
+            bn.frozen_sigma = rng.uniform(0.5, 2.0, c)
+        return bn
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["training", "frozen"])
+    def test_matches_finite_differences(self, frozen):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((3, 4, 4, 5)) * 2.0 + 0.5
+        x[..., 2] = 1.25  # a constant channel: its batch variance is 0
+        w = rng.standard_normal(x.shape)
+        bn = self._layer(x.shape[3], frozen)
+
+        def loss(x_, gamma=None, beta=None):
+            # forward on a copy: training mode updates the running stats
+            layer = copy.deepcopy(bn)
+            if gamma is not None:
+                layer.gamma, layer.beta = gamma, beta
+            return float((w * tk._bn_forward(layer, x_, True)[0]).sum())
+
+        def central(f, v, step=1e-6):
+            grad = np.zeros_like(v)
+            for i in np.ndindex(v.shape):
+                up, down = v.copy(), v.copy()
+                up[i] += step
+                down[i] -= step
+                grad[i] = (f(up) - f(down)) / (2 * step)
+            return grad
+
+        layer = copy.deepcopy(bn)
+        _, cache = tk._bn_forward(layer, x, True)
+        dx, dgamma, dbeta = tk._bn_backward(layer, cache, w)
+        assert np.allclose(dx, central(loss, x), rtol=1e-6, atol=1e-6)
+        if frozen:
+            assert dgamma is None and dbeta is None
+            return
+        fd_gamma = central(lambda g: loss(x, g, bn.beta), bn.gamma)
+        fd_beta = central(lambda b: loss(x, bn.gamma, b), bn.beta)
+        assert np.allclose(dgamma, fd_gamma, rtol=1e-5, atol=1e-5)
+        assert np.allclose(dbeta, fd_beta, rtol=1e-5, atol=1e-5)
+        assert dx[..., 2].any()  # the constant channel still passes gradient
+
+
+def _state_arrays(state):
+    """Every trained array and the history, keyed by where it lives."""
+    out = {"head_w": state.head_w, "head_b": state.head_b}
+    for i, blk in enumerate(state.blocks):
+        out[f"weight{i}"] = blk.weight
+        bn = blk.bn
+        if bn is None:
+            continue
+        for name in ("gamma", "beta", "run_mu", "run_var", "frozen_mu", "frozen_sigma"):
+            if getattr(bn, name) is not None:
+                out[f"{name}{i}"] = getattr(bn, name)
+        if bn.qbn is not None:
+            for name in ("gamma_q", "beta_q", "mu_q", "sigma_q", "m_q", "c_q"):
+                out[f"{name}{i}"] = getattr(bn.qbn, name)
+    for key, buf in state.momenta.items():
+        out[f"momentum{key}"] = buf
+    out["history"] = np.array([(e, loss, acc) for e, _, loss, acc in state.history])
+    return out
+
+
+class TestTrainingBitIdentity:
+    """Training with the shipped numerics equals training with the
+    references above, byte for byte, in every stage and BN mode."""
+
+    @staticmethod
+    def _use_references(monkeypatch):
+        monkeypatch.setattr(tk, "_bn_forward", _ref_bn_forward)
+        monkeypatch.setattr(tk, "_bn_backward", _ref_bn_backward)
+        # the earlier backward multiplied the mask into a fresh contiguous
+        # array; the copy stands for it, so the strided in-place result of
+        # the shipped _col2im is compared against that layout too
+        monkeypatch.setattr(
+            tk, "_col2im", lambda *args: np.ascontiguousarray(_ref_col2im(*args))
+        )
+
+    @staticmethod
+    def _assert_same(shipped, reference):
+        a, b = _state_arrays(shipped), _state_arrays(reference)
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].dtype == b[key].dtype, key
+            assert a[key].tobytes() == b[key].tobytes(), key
+        assert shipped.history == reference.history
+
+    @staticmethod
+    def _vgg(task):
+        return train_stage2(train_stage1(task, epochs=1), task, epochs=1)
+
+    @staticmethod
+    def _resnet(task):
+        s2 = train_stage2(train_stage1(task, epochs=1), task, epochs=1)
+        return bn_quantize_retrain(s2, task, epochs_per_layer=1)[0]
+
+    @pytest.mark.parametrize("variant", ["vgg", "resnet"])
+    def test_training_is_bit_identical(self, monkeypatch, variant):
+        if variant == "vgg":
+            task, run = small_vgg_task(n_train=200, n_val=100), self._vgg
+        else:
+            task, run = small_resnet_task(n_train=200, n_val=100), self._resnet
+        shipped = run(task)
+        with monkeypatch.context() as m:
+            self._use_references(m)
+            reference = run(task)
+        self._assert_same(shipped, reference)
