@@ -138,21 +138,9 @@ class QBNParams:
         return self.gamma_q.shape[0]
 
 
-def bn_float(x, p: BNParams, channel: int | None = None):
-    """Real-valued batch norm gamma*(x - mu)/sigma + beta.
-
-    With ``channel`` given, applies that channel's parameters to ``x``
-    elementwise; otherwise ``x`` is (..., channels) and parameters
-    broadcast along the last axis.
-    """
-    if channel is not None:
-        g, b, m, s = (
-            p.gamma[channel],
-            p.beta[channel],
-            p.mu[channel],
-            p.sigma[channel],
-        )
-        return g * (np.asarray(x, dtype=np.float64) - m) / s + b
+def bn_float(x, p: BNParams):
+    """Real-valued batch norm gamma*(x - mu)/sigma + beta; ``x`` is
+    (..., channels) and the parameters broadcast along the last axis."""
     x = np.asarray(x, dtype=np.float64)
     return p.gamma * (x - p.mu) / p.sigma + p.beta
 

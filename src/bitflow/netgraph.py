@@ -195,8 +195,9 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
 
     The input is binarized by sign into a +-1 8-bit map; blocks then run
     sequentially. The final block must emit an 8-bit map (a terminal VGG
-    block or any ResNet block). Block types, every block's output shape
-    and the final block are checked before the first block runs.
+    block or any ResNet block). Block types and order (no ResNet block after
+    one that emits packed bits), every block's output shape and the final
+    block are checked before the first block runs.
     """
     if not model.blocks:
         raise GraphError("model has no layers")
@@ -206,17 +207,20 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
     if not np.isfinite(x).all():
         raise GraphError("input must be finite")
     dims = x.shape
+    packed = False  # the previous block emits packed bits
     for i, blk in enumerate(model.blocks):
         if isinstance(blk, FloatBlock):
             raise GraphError(f"layer {i} holds float batch norm; convert it first")
         if not isinstance(blk, (VggBlock, ResnetBlock)):
             raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
+        if packed and isinstance(blk, ResnetBlock):
+            raise GraphError(f"layer {i}: residual blocks need an 8-bit input, not packed bits")
         try:
             dims = output_shape(dims, blk.kernel.dims, blk.spec)
         except ValueError as exc:
             raise GraphError(f"layer {i}: {exc}") from exc
-    last = model.blocks[-1]
-    if isinstance(last, VggBlock) and last.thr is not None:
+        packed = isinstance(blk, VggBlock) and blk.thr is not None
+    if packed:
         raise GraphError("model must end with a terminal block emitting 8-bit values")
     signs = (x >= 0).view(np.int8)
     signs *= 2

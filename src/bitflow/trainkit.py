@@ -15,7 +15,11 @@ inject the quantization noise, freeze, retrain the rest).
 Everything is seeded and single-worker: one seed reproduces loss curves
 bit for bit. Convolutions run as :func:`binconv.im2col` matmuls over +-1
 values padded with -1, so they are exact in float32 and agree with the
-packed integer engine wherever both apply.
+packed integer engine wherever both apply; their gradients return through
+``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
+at fixed per-stage learning rates (module constants) with cosine decay.
+The threshold export runs the float export through ``convert_model``, the
+conversion ``bitflow convert`` uses.
 """
 
 from __future__ import annotations
@@ -29,13 +33,18 @@ import numpy as np
 
 from .binconv import ConvSpec, im2col
 from .bitcore import pack_weights
-from .bnquant import BNParams, QBNParams, compute_threshold, quantize_bn
-from .netgraph import FloatBlock, Model, ResnetBlock, VggBlock, run_float_reference
+from .bnquant import BNParams, QBNParams, quantize_bn
+from .netgraph import FloatBlock, Model, ResnetBlock, convert_model, run_float_reference
 
 DEFAULT_SEED = 0xB17F10
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
+_SGD_MOMENTUM = 0.9
+_LR_STAGE1 = 0.02
+_LR_STAGE2 = 0.012
+_EVAL_BATCH = 200
+_FD_STEP = 1e-4  # grad_check's central-difference step
 
 STAGE_WARMUP = "warmup"
 STAGE_CLIPPED = "clipped"
@@ -84,7 +93,7 @@ def _hard_tanh(x):
 _KINK_BANDS = {"sign": (0.99, 1.01), "clip": (126.0, 128.0)}
 
 
-def grad_check(op: str, points, step: float = 1e-4) -> dict:
+def grad_check(op: str, points) -> dict:
     """Central finite differences of a surrogate forward vs its mask.
 
     The forward and the mask come from ``ste_sign`` and
@@ -101,7 +110,7 @@ def grad_check(op: str, points, step: float = 1e-4) -> dict:
     pts = pts[keep]
     if pts.size == 0:
         return {"op": op, "checked": 0, "max_abs_err": 0.0}
-    fd = (surrogate(pts + step)[0] - surrogate(pts - step)[0]) / (2.0 * step)
+    fd = (surrogate(pts + _FD_STEP)[0] - surrogate(pts - _FD_STEP)[0]) / (2.0 * _FD_STEP)
     err = np.abs(fd - surrogate(pts)[1].astype(np.float64))
     return {"op": op, "checked": int(pts.size), "max_abs_err": float(err.max())}
 
@@ -110,6 +119,9 @@ def grad_check(op: str, points, step: float = 1e-4) -> dict:
 
 _PAIR_CENTERS = [(4, 4), (4, 12), (12, 4), (12, 12), (8, 8)]
 _PAIR_RADII = (2.0, 3.4)
+# the vgg accumulator block's window (and stride) and its levels' beta span
+_ACC_WINDOW = 8
+_BETA_SPREAD = 3.0
 
 
 @dataclass
@@ -122,13 +134,9 @@ class ToyTask:
     labels: np.ndarray
     n_train: int
     widths: tuple
-    acc_window: int
-    beta_spread: float
     batch_size: int
     epochs_stage1: int
     epochs_stage2: int
-    lr_stage1: float
-    lr_stage2: float
 
     @property
     def train_images(self):
@@ -185,14 +193,10 @@ def make_toy_task(
     n_train: int = 1200,
     n_val: int = 400,
     widths: tuple | None = None,
-    acc_window: int = 8,
-    beta_spread: float = 3.0,
     noise: float = 1.2,
     batch_size: int = 100,
     epochs_stage1: int = 30,
     epochs_stage2: int = 10,
-    lr_stage1: float = 0.02,
-    lr_stage2: float = 0.012,
 ) -> ToyTask:
     """Build the deterministic toy classification task from one seed."""
     if variant not in ("vgg", "resnet"):
@@ -212,13 +216,9 @@ def make_toy_task(
         labels=labels.astype(np.int64),
         n_train=n_train,
         widths=tuple(widths),
-        acc_window=acc_window,
-        beta_spread=beta_spread,
         batch_size=batch_size,
         epochs_stage1=epochs_stage1,
         epochs_stage2=epochs_stage2,
-        lr_stage1=lr_stage1,
-        lr_stage2=lr_stage2,
     )
 
 
@@ -237,13 +237,15 @@ class BNLayer:
     frozen_sigma: np.ndarray | None = None
     qbn: QBNParams | None = None
 
+    def _stored_stats(self):
+        """(mu, sigma) for eval and frozen mode: frozen, else running stats."""
+        if self.frozen:
+            return self.frozen_mu, self.frozen_sigma
+        return self.run_mu, np.sqrt(self.run_var + _BN_EPS)
+
     def inference_params(self) -> BNParams:
         """Effective per-channel parameters at inference time."""
-        if self.frozen:
-            mu, sigma = self.frozen_mu, self.frozen_sigma
-        else:
-            mu = self.run_mu
-            sigma = np.sqrt(self.run_var + _BN_EPS)
+        mu, sigma = self._stored_stats()
         return BNParams(
             self.gamma.astype(np.float64),
             self.beta.astype(np.float64),
@@ -323,10 +325,10 @@ def init_state(task: ToyTask) -> TrainState:
     cin = task.images.shape[3]
     if task.variant == "vgg":
         c0, c1, c2 = task.widths
-        w = task.acc_window
+        w = _ACC_WINDOW
         geometry = [
             (c0, 3, (1, 1), None, True, 0.0),
-            (c1, w, (w, w), (0, 0), True, task.beta_spread),
+            (c1, w, (w, w), (0, 0), True, _BETA_SPREAD),
             (c2, 3, (1, 1), None, False, 0.0),
         ]
     else:
@@ -347,26 +349,26 @@ def init_state(task: ToyTask) -> TrainState:
 
 def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
     """Adjoint of :func:`binconv.im2col`: add row gradients back onto the
-    input positions they were read from (padding is dropped). Windows that
-    do not overlap (stride >= filter) take all taps in one add, others one
-    tap at a time; both add onto zeros, so a -0.0 gradient lands as +0.0."""
+    input positions they were read from (padding is dropped). Tap i of output
+    row y reads padded row ``(y + i // sh) * sh + i % sh``, so the taps of one
+    stride cell ``(i // sh, j // sw)`` take one add onto a grid view of zeros
+    (one in all when stride >= filter, one per tap at stride 1). Positions
+    get their taps in (i, j) order, so a -0.0 gradient lands as +0.0."""
     n, h, w, c = in_shape
     _, oh, ow, _ = dcols.shape
     (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
-    taps = dcols.reshape(n, oh, ow, fh, fw, c)
-    if sh >= fh and sw >= fw:
-        # a stride wider than the filter leaves gaps past the last window
-        hp, wp = max(h + 2 * ph, oh * sh), max(w + 2 * pw, ow * sw)
-        dap = np.zeros((n, hp, wp, c), dtype=np.float32)
-        grid = dap[:, : oh * sh, : ow * sw].reshape(n, oh, sh, ow, sw, c)
-        grid[:, :, :fh, :, :fw] += taps.transpose(0, 1, 3, 2, 4, 5)
-    else:
-        dap = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
-        for i in range(fh):
-            for j in range(fw):
-                dap[
-                    :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
-                ] += taps[:, :, :, i, j]
+    taps = dcols.reshape(n, oh, ow, fh, fw, c).transpose(0, 1, 3, 2, 4, 5)
+    hq, wq = oh + (fh - 1) // sh, ow + (fw - 1) // sw
+    # the grid may reach past the padded input where the stride leaves a gap
+    dap = np.zeros(
+        (n, max(h + 2 * ph, hq * sh), max(w + 2 * pw, wq * sw), c), dtype=np.float32
+    )
+    grid = dap[:, : hq * sh, : wq * sw].reshape(n, hq, sh, wq, sw, c)
+    for i in range(0, fh, sh):
+        for j in range(0, fw, sw):
+            cell = taps[:, :, i : i + sh, :, j : j + sw]
+            a, b = i // sh, j // sw
+            grid[:, a : a + oh, : cell.shape[2], b : b + ow, : cell.shape[4]] += cell
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
@@ -375,10 +377,7 @@ def _bn_forward(bn: BNLayer, x, training: bool):
     buffers and in that operation order; training mode uses and caches
     batch statistics and updates the running ones."""
     if bn.frozen or not training:
-        if bn.frozen:
-            mu, sigma = bn.frozen_mu, bn.frozen_sigma
-        else:
-            mu, sigma = bn.run_mu, np.sqrt(bn.run_var + _BN_EPS)
+        mu, sigma = bn._stored_stats()
         y = x - mu
         np.multiply(bn.gamma, y, out=y)
         y /= sigma
@@ -480,10 +479,12 @@ def _softmax_ce(logits, labels):
 
 
 def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
-    grads = {
-        ("head_w",): (g.T @ dlogits).astype(np.float32),
-        ("head_b",): dlogits.sum(axis=0).astype(np.float32),
-    }
+    """Gradients as (momentum key, parameter, gradient) triples, head first,
+    then blocks from last to first."""
+    grads = [
+        (("head_w",), state.head_w, (g.T @ dlogits).astype(np.float32)),
+        (("head_b",), state.head_b, dlogits.sum(axis=0).astype(np.float32)),
+    ]
     n, oh, ow, c = trunk_shape
     dh = (dlogits @ state.head_w.T)[:, None, None, :] / (oh * ow)
     dh = np.ascontiguousarray(np.broadcast_to(dh, trunk_shape), dtype=np.float32)
@@ -499,15 +500,16 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         if blk.bn is not None:
             dfc, dgamma, dbeta = _bn_backward(blk.bn, cache["bncache"], dy)
             if dgamma is not None and not blk.bn.affine_fixed:
-                grads[("bn_gamma", bi)] = dgamma
-                grads[("bn_beta", bi)] = dbeta
+                grads.append((("bn_gamma", bi), blk.bn.gamma, dgamma))
+                grads.append((("bn_beta", bi), blk.bn.beta, dbeta))
         else:
             dfc = dy
         df = dfc * cache["cmask"] if cache["cmask"] is not None else dfc
         k = cache["wmat"].shape[0]
         o = blk.weight.shape[0]
         dwmat = cache["cols"].reshape(-1, k).T @ df.reshape(-1, o)
-        grads[("weight", bi)] = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
+        dw = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
+        grads.append((("weight", bi), blk.weight, dw))
         if bi > 0 or resnet:
             dcols = df @ cache["wmat"].T
             fh, fw = blk.weight.shape[1], blk.weight.shape[2]
@@ -518,22 +520,14 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
     return grads
 
 
-def _apply_grads(state: TrainState, grads, lr, momentum=0.9):
-    for key, grad in grads.items():
-        if key == ("head_w",):
-            param = state.head_w
-        elif key == ("head_b",):
-            param = state.head_b
-        elif key[0] == "weight":
-            param = state.blocks[key[1]].weight
-        elif key[0] == "bn_gamma":
-            param = state.blocks[key[1]].bn.gamma
-        else:
-            param = state.blocks[key[1]].bn.beta
+def _apply_grads(state: TrainState, grads, lr):
+    """Momentum SGD step, in place, over :func:`_backward`'s triples; each
+    key names its parameter's buffer in ``state.momenta``."""
+    for key, param, grad in grads:
         buf = state.momenta.get(key)
         if buf is None:
             buf = state.momenta[key] = np.zeros_like(param)
-        buf *= momentum
+        buf *= _SGD_MOMENTUM
         buf -= lr * grad
         param += buf
         if key[0] == "weight":
@@ -582,20 +576,13 @@ def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> T
     return state
 
 
-def train_stage1(task: ToyTask, epochs: int | None = None, lr: float | None = None) -> TrainState:
+def train_stage1(task: ToyTask, epochs: int | None = None) -> TrainState:
     """Warmup training without range constraints."""
-    state = init_state(task)
-    return train_epochs(
-        state,
-        task,
-        task.epochs_stage1 if epochs is None else epochs,
-        task.lr_stage1 if lr is None else lr,
-    )
+    epochs = task.epochs_stage1 if epochs is None else epochs
+    return train_epochs(init_state(task), task, epochs, _LR_STAGE1)
 
 
-def train_stage2(
-    state: TrainState, task: ToyTask, epochs: int | None = None, lr: float | None = None
-) -> TrainState:
+def train_stage2(state: TrainState, task: ToyTask, epochs: int | None = None) -> TrainState:
     """Enable the 8-bit clip and retrain; requires a warmup-stage state.
 
     With ``epochs=0`` the clip is switched on without any retraining,
@@ -605,19 +592,14 @@ def train_stage2(
         raise ValueError(f"stage-2 training requires a warmup state, got {state.stage!r}")
     out = state.clone()
     out.stage = STAGE_CLIPPED
-    return train_epochs(
-        out,
-        task,
-        task.epochs_stage2 if epochs is None else epochs,
-        task.lr_stage2 if lr is None else lr,
-    )
+    epochs = task.epochs_stage2 if epochs is None else epochs
+    return train_epochs(out, task, epochs, _LR_STAGE2)
 
 
 def bn_quantize_retrain(
     state: TrainState,
     task: ToyTask,
     epochs_per_layer: int = 2,
-    lr: float | None = None,
 ) -> tuple[TrainState, list]:
     """Quantize batch-norm layers front to back with interleaved retraining.
 
@@ -629,7 +611,6 @@ def bn_quantize_retrain(
     if state.stage != STAGE_CLIPPED:
         raise ValueError(f"quantization requires a clipped-stage state, got {state.stage!r}")
     out = state.clone()
-    lr = task.lr_stage2 * 0.5 if lr is None else lr
     exported = []
     for blk in out.blocks:
         if blk.bn is None:
@@ -643,7 +624,7 @@ def bn_quantize_retrain(
         blk.bn.qbn = qbn
         exported.append(qbn)
         if epochs_per_layer:
-            train_epochs(out, task, epochs_per_layer, lr)
+            train_epochs(out, task, epochs_per_layer, _LR_STAGE2 * 0.5)
     out.stage = STAGE_QUANTIZED
     return out, exported
 
@@ -651,7 +632,7 @@ def bn_quantize_retrain(
 # -- evaluation and prediction -----------------------------------------------
 
 
-def evaluate(state: TrainState, task: ToyTask, split: str = "val", batch: int = 200):
+def evaluate(state: TrainState, task: ToyTask, split: str = "val"):
     """Mean loss and accuracy (percent) of the eval-mode forward pass."""
     if split == "train":
         xs, ys = task.train_images, task.train_labels
@@ -660,8 +641,8 @@ def evaluate(state: TrainState, task: ToyTask, split: str = "val", batch: int = 
     else:
         raise ValueError(f"unknown split {split!r}")
     tot_loss, hits = 0.0, 0
-    for lo in range(0, xs.shape[0], batch):
-        xb, yb = xs[lo : lo + batch], ys[lo : lo + batch]
+    for lo in range(0, xs.shape[0], _EVAL_BATCH):
+        xb, yb = xs[lo : lo + _EVAL_BATCH], ys[lo : lo + _EVAL_BATCH]
         _, _, logits, _ = _forward(state, xb, training=False)
         loss, _ = _softmax_ce(logits, yb)
         tot_loss += loss * len(yb)
@@ -707,16 +688,13 @@ def export_float_model(state: TrainState) -> Model:
 
 
 def export_vgg_model(state: TrainState) -> Model:
-    """Deployment model with threshold binarization between blocks."""
+    """Deployment model with threshold binarization between blocks: the float
+    export converted as ``bitflow convert --mode vgg-threshold`` does."""
     if state.variant != "vgg":
         raise ValueError("threshold export needs a vgg-variant state")
     if state.stage == STAGE_WARMUP:
         raise ValueError("export requires clip-stage training (warmup numerics differ)")
-    blocks = []
-    for kernel, spec, blk in _export_blocks(state):
-        thr = compute_threshold(blk.bn.inference_params()) if blk.bn is not None else None
-        blocks.append(VggBlock(kernel, spec, thr))
-    return Model(blocks)
+    return convert_model(export_float_model(state), "vgg-threshold")[0]
 
 
 def export_resnet_model(state: TrainState) -> Model:

@@ -256,6 +256,22 @@ class TestRunModel:
             run_model(Model([blk]), np.ones((1, 5, 5, 2)))
         assert ran == []
 
+    def test_residual_after_packed_block_rejected_before_running(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        spec = ConvSpec(spatial_pad=(1, 1))
+        thr = compute_threshold(bn(rng, 3))
+        qbn, _ = quantize_bn(bn(rng, 3))
+        blocks = [
+            VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 3))), spec, thr),
+            ResnetBlock(pack_weights(rng.standard_normal((3, 3, 3, 3))), spec, qbn),
+        ]
+        ran = []
+        monkeypatch.setattr(ng, "run_vgg_block", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(ng, "run_resnet_block", lambda *a, **kw: ran.append(a))
+        with pytest.raises(GraphError, match="layer 1: residual blocks need an 8-bit input"):
+            run_model(Model(blocks), np.ones((1, 5, 5, 3)))
+        assert ran == []
+
     def test_float_blocks_rejected(self):
         rng = np.random.default_rng(11)
         fm = float_vgg_model(rng, depth=1)

@@ -379,23 +379,27 @@ def _ref_bn_backward(bn, cache, dy):
     return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
 
 
-# (fh, fw, stride, pad, input h, w): overlapping, strided, non-overlapping
-# with and without gaps between windows, rows past the last window
+# (fh, fw, (sh, sw), (ph, pw), input h, w): overlapping, strided,
+# non-overlapping with and without gaps between windows, rows past the last
+# window, and strides that split the filter into uneven cells per axis
 COL2IM_GEOMETRIES = {
-    "3x3-pad1": (3, 3, 1, 1, 7, 6),
-    "3x3-stride2": (3, 3, 2, 1, 9, 8),
-    "8x8-stride8": (8, 8, 8, 0, 17, 16),
-    "2x2-stride3": (2, 2, 3, 0, 8, 10),
-    "3x3-stride3-pad1": (3, 3, 3, 1, 7, 8),
-    "1x1-stride2": (1, 1, 2, 0, 5, 6),
+    "3x3-pad1": (3, 3, (1, 1), (1, 1), 7, 6),
+    "3x3-stride2": (3, 3, (2, 2), (1, 1), 9, 8),
+    "8x8-stride8": (8, 8, (8, 8), (0, 0), 17, 16),
+    "2x2-stride3": (2, 2, (3, 3), (0, 0), 8, 10),
+    "3x3-stride3-pad1": (3, 3, (3, 3), (1, 1), 7, 8),
+    "1x1-stride2": (1, 1, (2, 2), (0, 0), 5, 6),
+    "5x3-stride2x1": (5, 3, (2, 1), (0, 0), 10, 7),
+    "3x4-stride1x3-pad0x2": (3, 4, (1, 3), (0, 2), 6, 9),
+    "5x5-stride2-pad2": (5, 5, (2, 2), (2, 2), 9, 8),
 }
 
 
 class TestCol2im:
     @staticmethod
     def _operands(geometry, seed):
-        fh, fw, s, p, h, w = COL2IM_GEOMETRIES[geometry]
-        spec = ConvSpec(stride=(s, s), spatial_pad=(p, p))
+        fh, fw, stride, pad, h, w = COL2IM_GEOMETRIES[geometry]
+        spec = ConvSpec(stride=stride, spatial_pad=pad)
         rng = np.random.default_rng(seed)
         x = rng.integers(-3, 4, size=(2, h, w, 3)).astype(np.float32)
         rows = im2col(x, fh, fw, spec)
