@@ -5,8 +5,9 @@ saturate) over a suite of layer shapes. Engine variants are only timed
 after their outputs are proven equivalent under the clamp law on the same
 seeded workload. The default suite mirrors the nine 3x3 body convolutions
 of an 18-layer residual classifier (C in {64,128,256,512}, spatial
-{56,28,14,7}); the ratio column reports the staged 32-bit path's median
-over each variant's median, so values above 1 mean faster than staged.
+{56,28,14,7}). Each row's ratio, printed and written to the ``--json``
+record, is the staged 32-bit path's median over the variant's median, so
+values above 1 mean faster than staged.
 
 ``convert`` rewrites float batch-norm records into deployment form
 (thresholds or 16-bit fixed point); ``validate`` replays the oracle
@@ -31,12 +32,10 @@ import numpy as np
 
 from . import binconv, bitcore, bnquant, netgraph
 from .binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
-from .bitcore import I8FeatureMap, pack_activations, pack_weights
+from .bitcore import I8FeatureMap, pack_weights
 
 DEFAULT_SEED = 0xB17F10
-SEED_ENV_VAR = "BITFLOW_SEED"
 
-CSV_HEADER = "config,variant,median_us,min_us,max_us,ratio"
 VARIANTS = ("i8-fused", "i32-staged", "float-reference")
 BASELINE_VARIANT = "i32-staged"
 
@@ -47,7 +46,7 @@ EXIT_USAGE = 2
 
 @dataclass
 class BenchConfig:
-    """One benchmarked layer shape plus measurement policy."""
+    """One benchmarked layer shape."""
 
     name: str
     height: int
@@ -57,17 +56,12 @@ class BenchConfig:
     filter: int = 3
     stride: int = 1
     pad: int = 1
-    repeats: int = 15
-    warmup: int = 3
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.height, self.width, self.c_in, self.c_out, self.filter) <= 0:
             raise ValueError(f"{self.name}: non-positive shape field")
         if self.stride < 1 or self.pad < 0:
             raise ValueError(f"{self.name}: bad stride/pad")
-        if self.repeats < 5:
-            raise ValueError(f"{self.name}: repeats must be >= 5")
 
     @property
     def spec(self) -> ConvSpec:
@@ -87,16 +81,6 @@ class BenchRow:
 @dataclass
 class BenchReport:
     rows: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            ratio = f"{r.ratio:.4f}" if r.ratio is not None else ""
-            lines.append(
-                f"{r.config},{r.variant},{r.median_us:.3f},{r.min_us:.3f},"
-                f"{r.max_us:.3f},{ratio}"
-            )
-        return "\n".join(lines) + "\n"
 
     def to_json(self, argv, seed: int) -> str:
         """The rows beside what produced them: git sha, numpy version, CPU
@@ -133,7 +117,7 @@ def _git_sha(root: Path) -> str | None:
     return found[1] + ("-dirty" if dirty else "")
 
 
-def default_suite(repeats: int = 15, warmup: int = 3, threads: int = 1) -> list:
+def default_suite() -> list:
     """Nine residual-body conv shapes (stage convs and downsamplers)."""
     shapes = [
         ("c01", 56, 64, 64, 1),
@@ -147,12 +131,18 @@ def default_suite(repeats: int = 15, warmup: int = 3, threads: int = 1) -> list:
         ("c09", 7, 512, 512, 1),
     ]
     return [
-        BenchConfig(name, hw, hw, cin, cout, 3, stride, 1, repeats, warmup, threads)
+        BenchConfig(name, hw, hw, cin, cout, 3, stride, 1)
         for name, hw, cin, cout, stride in shapes
     ]
 
 
-def parse_config_file(path, repeats=15, warmup=3, threads=1) -> list:
+# Stanza key -> BenchConfig field; h, w, cin and cout are required, and a
+# key not listed here is an error, not a setting silently left at its default.
+_STANZA_KEYS = {"id": "name", "h": "height", "w": "width", "cin": "c_in", "cout": "c_out",
+                "filter": "filter", "stride": "stride", "pad": "pad"}
+
+
+def parse_config_file(path) -> list:
     """Parse key=value stanzas separated by blank lines."""
     configs = []
     stanza: dict = {}
@@ -160,21 +150,17 @@ def parse_config_file(path, repeats=15, warmup=3, threads=1) -> list:
     def flush():
         if not stanza:
             return
-        configs.append(
-            BenchConfig(
-                name=stanza.get("id", f"c{len(configs) + 1:02d}"),
-                height=int(stanza["h"]),
-                width=int(stanza["w"]),
-                c_in=int(stanza["cin"]),
-                c_out=int(stanza["cout"]),
-                filter=int(stanza.get("filter", 3)),
-                stride=int(stanza.get("stride", 1)),
-                pad=int(stanza.get("pad", 1)),
-                repeats=int(stanza.get("repeats", repeats)),
-                warmup=int(stanza.get("warmup", warmup)),
-                threads=int(stanza.get("threads", threads)),
-            )
-        )
+        where = f"config stanza {len(configs) + 1}"
+        unknown = [k for k in stanza if k not in _STANZA_KEYS]
+        if unknown:
+            keys = " ".join(_STANZA_KEYS)
+            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}; keys are {keys}")
+        missing = [k for k in ("h", "w", "cin", "cout") if k not in stanza]
+        if missing:
+            raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+        fields = {_STANZA_KEYS[k]: v if k == "id" else int(v) for k, v in stanza.items()}
+        fields.setdefault("name", f"c{len(configs) + 1:02d}")
+        configs.append(BenchConfig(**fields))
         stanza.clear()
 
     with open(path) as fh:
@@ -201,12 +187,12 @@ def _build_workload(cfg: BenchConfig, seed: int):
     return x, pack_weights(w), w
 
 
-def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float):
+def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads: int):
     spec = cfg.spec
     if variant == "i8-fused":
-        return lambda: conv_fused(x, None, kernel, spec, threads=cfg.threads)
+        return lambda: conv_fused(x, None, kernel, spec, threads=threads)
     if variant == "i32-staged":
-        return lambda: staged_conv_i8(x, None, kernel, spec, threads=cfg.threads)
+        return lambda: staged_conv_i8(x, None, kernel, spec, threads=threads)
     if variant == "float-reference":
         signs = np.where(x.values >= 0, 1, -1).astype(np.int8)
         wi = w_float.astype(np.int8)
@@ -216,44 +202,43 @@ def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def check_agreement(cfg: BenchConfig, variants, seed: int):
-    """Clamp-law equivalence of every requested variant on the workload.
-
-    Returns None on agreement, else a human-readable first-diff summary.
-    """
-    x, kernel, w_float = _build_workload(cfg, seed)
-    reference = np.clip(
-        conv_i32(pack_activations(x.values), kernel, cfg.spec).values, -127, 127
-    ).astype(np.int8)
-    for variant in variants:
-        got = _variant_runner(variant, cfg, x, kernel, w_float)().values
-        if not np.array_equal(got, reference):
-            idx = tuple(int(i) for i in np.argwhere(got != reference)[0])
-            return (
-                f"{cfg.name}/{variant}: first diff at {idx}: "
-                f"got {got[idx]}, want {reference[idx]}"
-            )
-    return None
+def _first_diff(got: np.ndarray, want: np.ndarray) -> str:
+    """Where two same-shaped arrays first differ, and both values there."""
+    idx = tuple(int(i) for i in np.argwhere(got != want)[0])
+    return f"first diff at {idx}: got {got[idx]}, want {want[idx]}"
 
 
-def run_bench(configs, variants, seed: int = DEFAULT_SEED) -> BenchReport:
+def run_bench(
+    configs, variants, seed: int = DEFAULT_SEED,
+    repeats: int = 15, warmup: int = 3, threads: int = 1,
+) -> BenchReport:
     """Agreement-check then time every (config, variant) pair.
 
-    Per config every variant warms up first; then each repeat times every
-    variant once in turn, so a burst of host load spreads over all of them.
+    Per config each variant's runner is called once and its output compared
+    with the staged binarize/pack/convolve/clamp pipeline on one thread; a
+    disagreement raises before anything is timed. Then every variant warms
+    up, and each repeat times every variant once in turn, so a burst of
+    host load spreads over all of them.
     """
+    if repeats < 5:
+        raise ValueError("repeats must be >= 5")
     report = BenchReport()
     for cfg in configs:
-        problem = check_agreement(cfg, variants, seed)
-        if problem is not None:
-            raise RuntimeError(f"variant disagreement, no timing: {problem}")
         x, kernel, w_float = _build_workload(cfg, seed)
-        runners = [_variant_runner(v, cfg, x, kernel, w_float) for v in variants]
+        runners = [_variant_runner(v, cfg, x, kernel, w_float, threads) for v in variants]
+        want = staged_conv_i8(x, None, kernel, cfg.spec).values
+        for variant, fn in zip(variants, runners):
+            got = fn().values
+            if not np.array_equal(got, want):
+                raise RuntimeError(
+                    f"variant disagreement, no timing: {cfg.name}/{variant}: "
+                    f"{_first_diff(got, want)}"
+                )
         for fn in runners:
-            for _ in range(cfg.warmup):
+            for _ in range(warmup):
                 fn()
         times = [[] for _ in runners]
-        for _ in range(cfg.repeats):
+        for _ in range(repeats):
             for fn, samples in zip(runners, times):
                 t0 = time.perf_counter_ns()
                 fn()
@@ -320,13 +305,8 @@ def conv_sweep(rng, n_configs: int, max_c: int = 256) -> SweepResult:
         wide = conv_i32(x, k, spec).values
         want = conv_float_oracle(a, wt, spec).values
         if not np.array_equal(wide, want):
-            idx = tuple(int(v) for v in np.argwhere(wide != want)[0])
-            return SweepResult(
-                "conv-exactness",
-                i,
-                f"config {i} ({h}x{w}x{cin}, {fh}x{fw}): first diff at {idx}: "
-                f"got {wide[idx]}, want {want[idx]}",
-            )
+            where = f"config {i} ({h}x{w}x{cin}, {fh}x{fw})"
+            return SweepResult("conv-exactness", i, f"{where}: {_first_diff(wide, want)}")
         narrow = conv_i8(x, k, spec).values
         if not np.array_equal(narrow, np.clip(wide, -127, 127)):  # so -128 never appears
             return SweepResult("conv-exactness", i, f"config {i}: clamp law violated")
@@ -357,8 +337,7 @@ def fusion_sweep(rng, n_configs: int) -> SweepResult:
             fused = conv_fused(x, thr, k, spec, tile_rows=tile).values
             checked += 1
             if not np.array_equal(fused, staged):
-                idx = tuple(int(v) for v in np.argwhere(fused != staged)[0])
-                failure = f"config {i} tile {tile}: first diff at {idx}"
+                failure = f"config {i} tile {tile}: {_first_diff(fused, staged)}"
                 return SweepResult("fusion-transparency", checked, failure)
     return SweepResult("fusion-transparency", checked)
 
@@ -489,7 +468,10 @@ def model_input_size(model: netgraph.Model) -> tuple[int, int]:
 def validate_model_file(path, rng) -> SweepResult:
     """Structure, roundtrip and ``run_model`` against the dense reference
     for one model, on one input sized by :func:`model_input_size`."""
-    model = netgraph.load_model(path)
+    try:
+        model = netgraph.load_model(path)
+    except (netgraph.ModelFormatError, OSError) as exc:
+        return SweepResult("model-file", 0, f"cannot load {path}: {exc}")
     blob = netgraph.model_to_bytes(model)
     if netgraph.model_to_bytes(netgraph.model_from_bytes(blob)) != blob:
         return SweepResult("model-file", 0, "re-save is not byte stable")
@@ -517,38 +499,26 @@ def validate_model_file(path, rng) -> SweepResult:
         return SweepResult("model-file", 1, f"model does not run: {exc}")
     want = netgraph.run_float_reference(model, x)
     if not np.array_equal(got, want):
-        diff = tuple(int(i) for i in np.argwhere(got != want)[0])
-        return SweepResult(
-            "model-file", 1, f"executor differs from the dense reference, first diff at {diff}"
-        )
+        why = f"executor differs from the dense reference, {_first_diff(got, want)}"
+        return SweepResult("model-file", 1, why)
     return SweepResult("model-file", 2)
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value, 0) if isinstance(value, str) else int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env:
-        return int(env, 0)
-    return DEFAULT_SEED
-
-
 def cmd_bench(args) -> int:
-    seed = _resolve_seed(getattr(args, "seed", None))
-    if args.config:
-        configs = parse_config_file(args.config, args.repeats, args.warmup, args.threads)
-    else:
-        configs = default_suite(args.repeats, args.warmup, args.threads)
+    configs = parse_config_file(args.config) if args.config else default_suite()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in VARIANTS:
             print(f"unknown variant {v!r}; choose from {', '.join(VARIANTS)}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        report = run_bench(configs, variants, seed)
+        report = run_bench(
+            configs, variants, args.seed,
+            repeats=args.repeats, warmup=args.warmup, threads=args.threads,
+        )
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -558,13 +528,9 @@ def cmd_bench(args) -> int:
             f"{r.config:<8}{r.variant:<18}{r.median_us:>12.1f}{r.min_us:>12.1f}"
             f"{r.max_us:>12.1f}{r.ratio:>8.3f}"
         )
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
-        print(f"wrote {args.csv}")
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json(args.argv, seed))
+            fh.write(report.to_json(args.argv, args.seed))
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -590,11 +556,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    seed = _resolve_seed(getattr(args, "seed", None))
     tiny = args.sizes == "tiny"
 
     def rng():  # a fresh stream per sweep, as the acceptance criteria draw
-        return np.random.default_rng(np.uint64(seed))
+        return np.random.default_rng(np.uint64(args.seed))
 
     suites = [
         conv_sweep(rng(), 60 if tiny else 1000, max_c=96 if tiny else 256),
@@ -625,9 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=15)
     bench.add_argument("--warmup", type=int, default=3)
     bench.add_argument("--threads", type=int, default=1)
-    bench.add_argument("--csv", help="write rows to this path")
     bench.add_argument("--json", help="write rows, git sha, numpy version and CPU count here")
-    bench.add_argument("--seed", help="workload seed (overrides BITFLOW_SEED)")
+    bench.add_argument(
+        "--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED, help="workload seed"
+    )
     bench.set_defaults(func=cmd_bench)
 
     convert = sub.add_parser("convert", help="float batch norm to deployment tables")
@@ -640,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="oracle equivalence sweeps")
     validate.add_argument("--sizes", choices=("tiny", "full"), default="full")
-    validate.add_argument("--seed", help="sweep seed (overrides BITFLOW_SEED)")
+    validate.add_argument(
+        "--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED, help="sweep seed"
+    )
     validate.add_argument("--model", help="also validate this model file")
     validate.set_defaults(func=cmd_validate)
     return parser
@@ -651,7 +619,7 @@ def main(argv=None) -> int:
     args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

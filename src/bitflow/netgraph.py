@@ -269,7 +269,7 @@ def run_float_reference(model: Model, x: np.ndarray, mode: str | None = None) ->
 class ConversionReport:
     """Per-layer diagnostics from float-to-deployment conversion."""
 
-    constant_channels: list  # (layer, channel) pairs with |tau| > 127
+    constant_channels: list  # (layer, channel) pairs with |tau| > 127 and gamma != 0
     gamma_zero_channels: list  # (layer, channel) pairs degraded to constants
 
     @property
@@ -295,16 +295,14 @@ def convert_model(model: Model, mode: str) -> tuple[Model, ConversionReport]:
         if blk.bn is None:
             blocks.append(VggBlock(blk.kernel, blk.spec, None))
             continue
-        gzero_here = np.flatnonzero(blk.bn.gamma == 0)
-        gzero.extend((i, int(c)) for c in gzero_here)
+        gamma_zero = blk.bn.gamma == 0
+        gzero.extend((i, int(c)) for c in np.flatnonzero(gamma_zero))
         if mode == "vgg-threshold":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 thr = compute_threshold(blk.bn)
-            constant.extend(
-                (i, int(c))
-                for c in np.flatnonzero(np.abs(thr.tau.astype(np.int32)) > 127)
-            )
+            beyond = (np.abs(thr.tau.astype(np.int32)) > 127) & ~gamma_zero
+            constant.extend((i, int(c)) for c in np.flatnonzero(beyond))
             blocks.append(VggBlock(blk.kernel, blk.spec, thr))
         else:
             qbn, _ = quantize_bn(blk.bn)

@@ -213,9 +213,9 @@ def test_criterion_08_gradient_checks():
 
 
 def test_criterion_09_performance():
-    suite = benchcli.default_suite(repeats=11, warmup=2)
+    suite = benchcli.default_suite()
     variants = ["i8-fused", "i32-staged", "float-reference"]
-    result = benchcli.run_bench(suite, variants, seed=SEED)
+    result = benchcli.run_bench(suite, variants, seed=SEED, repeats=11, warmup=2)
     wins = 0
     gemm_wins = 0  # reported beside the gate, not gated
     ratios = []

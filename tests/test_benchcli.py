@@ -24,7 +24,7 @@ from bitflow.benchcli import (
 
 
 def tiny_config(**kw):
-    args = dict(name="t1", height=8, width=8, c_in=16, c_out=8, repeats=5, warmup=1)
+    args = dict(name="t1", height=8, width=8, c_in=16, c_out=8)
     args.update(kw)
     return BenchConfig(**args)
 
@@ -38,7 +38,7 @@ class TestConfigs:
 
     def test_repeats_floor(self):
         with pytest.raises(ValueError):
-            tiny_config(repeats=4)
+            run_bench([tiny_config()], ["i8-fused"], seed=1, repeats=4)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -62,21 +62,16 @@ class TestConfigs:
 
 class TestBench:
     def test_rows_and_ratio(self):
-        report = run_bench([tiny_config()], ["i8-fused", "i32-staged"], seed=1)
+        report = run_bench([tiny_config()], ["i8-fused", "i32-staged"], seed=1, repeats=5, warmup=1)
         assert len(report.rows) == 2
         staged = next(r for r in report.rows if r.variant == "i32-staged")
         assert staged.ratio == pytest.approx(1.0)
         for r in report.rows:
             assert r.min_us <= r.median_us <= r.max_us
 
-    def test_csv_schema(self):
-        report = run_bench([tiny_config()], ["i8-fused", "i32-staged"], seed=1)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "config,variant,median_us,min_us,max_us,ratio"
-        assert len(lines) == 3
-
     def test_float_reference_agrees(self):
-        report = run_bench([tiny_config()], ["float-reference", "i32-staged"], seed=2)
+        variants = ["float-reference", "i32-staged"]
+        report = run_bench([tiny_config()], variants, seed=2, repeats=5, warmup=1)
         assert len(report.rows) == 2
 
     def test_stability_of_seeded_medians(self):
@@ -84,7 +79,7 @@ class TestBench:
         # jitter (5%) whenever the host itself is that quiet. A shared host
         # has noisy spells; each set of samples takes ~0.2 s, so up to 20
         # sets wait a few seconds for a quiet one before skipping.
-        cfg = tiny_config(height=14, width=14, c_in=128, c_out=32, repeats=15, warmup=3)
+        cfg = tiny_config(height=14, width=14, c_in=128, c_out=32)
         for _ in range(20):
             samples = [
                 run_bench([cfg], ["i8-fused"], seed=3).rows[0].median_us for _ in range(4)
@@ -99,12 +94,16 @@ class TestBench:
 
     def test_repeats_interleave_variants_after_all_warm_up(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(benchcli, "check_agreement", lambda cfg, variants, seed: None)
-        monkeypatch.setattr(benchcli, "_variant_runner", lambda v, *_: lambda: calls.append(v))
+        out = bitcore.I8FeatureMap(np.zeros((1, 1, 1, 1), dtype=np.int8))
+        monkeypatch.setattr(benchcli, "staged_conv_i8", lambda *a, **kw: out)
+        monkeypatch.setattr(
+            benchcli, "_variant_runner", lambda v, *_: lambda: calls.append(v) or out
+        )
         variants = ["i8-fused", "i32-staged", "float-reference"]
-        report = run_bench([tiny_config(repeats=5, warmup=2)], variants, seed=1)
+        report = run_bench([tiny_config()], variants, seed=1, repeats=5, warmup=2)
         warmup = [v for v in variants for _ in range(2)]
-        assert calls == warmup + variants * 5
+        # one checked call per variant, then the warmups, then the repeats
+        assert calls == variants + warmup + variants * 5
         assert [r.variant for r in report.rows] == variants
 
     def test_agreement_failure_blocks_timing(self, monkeypatch):
@@ -148,23 +147,12 @@ class TestWorkload:
 
 
 class TestCli:
-    def test_bench_cli_csv(self, tmp_path, capsys):
-        csv = tmp_path / "out.csv"
-        code = main(
-            ["bench", "--variants", "i8-fused,i32-staged", "--repeats", "5",
-             "--warmup", "1", "--csv", str(csv), "--config", str(_write_cfg(tmp_path))]
-        )
-        assert code == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "config,variant,median_us,min_us,max_us,ratio"
-        out = capsys.readouterr().out
-        assert "median_us" in out
-
-    def test_bench_cli_json(self, tmp_path):
+    def test_bench_cli_json(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         argv = ["bench", "--repeats", "5", "--warmup", "1", "--seed", "3",
                 "--json", str(path), "--config", str(_write_cfg(tmp_path))]
         assert main(argv) == 0
+        assert "median_us" in capsys.readouterr().out
         record = json.loads(path.read_text())
         assert record["numpy"] == np.__version__
         assert record["cpu_count"] == os.cpu_count()
@@ -177,6 +165,7 @@ class TestCli:
             ("t", "i8-fused"), ("t", "i32-staged")
         ]
         for r in rows:
+            assert list(r) == ["config", "variant", "median_us", "min_us", "max_us", "ratio"]
             assert 0 < r["min_us"] <= r["median_us"] <= r["max_us"]
 
     def test_git_sha_marks_a_changed_tree(self, tmp_path):
@@ -197,19 +186,33 @@ class TestCli:
         (tmp_path / "sub").mkdir()
         assert benchcli._git_sha(tmp_path / "sub") is None  # not the checkout's root
 
-    def test_bench_keeps_stanza_settings(self, tmp_path, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize(
+        "text,why",
+        [
+            ("id=a\nw=8\ncin=16\ncout=4\n", "missing key(s) h"),
+            ("id=a\nh=8\nw=8\ncin=16\ncout=4\nstrid=2\n", "unknown key(s) strid"),
+            ("id=a\nh=8\nw=8\ncin=16\ncout=4\nrepeats=7\n", "unknown key(s) repeats"),
+        ],
+        ids=["no-h", "strid", "repeats"],
+    )
+    def test_bench_bad_stanza_is_a_usage_error(self, tmp_path, capsys, text, why):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["bench", "--config", str(path)]) == 2
+        assert why in capsys.readouterr().err
 
-        def fake_run_bench(configs, variants, seed):
-            seen.extend(configs)
-            return benchcli.BenchReport([])
+    def test_bench_missing_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert "missing.cfg" in capsys.readouterr().err
 
-        monkeypatch.setattr(benchcli, "run_bench", fake_run_bench)
-        path = tmp_path / "two.cfg"
-        path.write_text("id=a\nh=8\nw=8\ncin=16\ncout=4\nrepeats=7\nthreads=2\n\n"
-                        "id=b\nh=8\nw=8\ncin=16\ncout=4\n")
-        assert main(["bench", "--repeats", "9", "--config", str(path)]) == 0
-        assert [(c.repeats, c.threads) for c in seen] == [(7, 2), (9, 1)]
+    def test_seed_parses_decimal_and_hex(self):
+        parser = benchcli.build_parser()
+        assert parser.parse_args(["validate"]).seed == 0xB17F10
+        assert parser.parse_args(["bench", "--seed", "0x123"]).seed == 0x123
+        assert parser.parse_args(["validate", "--seed", "291"]).seed == 0x123
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(["bench", "--seed", "seven"])
+        assert err.value.code == 2
 
     def test_bench_unknown_variant(self, tmp_path):
         code = main(["bench", "--variants", "cuda", "--config", str(_write_cfg(tmp_path))])
@@ -297,6 +300,18 @@ class TestCli:
         assert out.count("[PASS]") == 4
         assert f"[FAIL] model-file: layer 0: 64 sites x {f * f * cin} taps" in out
 
+    @pytest.mark.parametrize("how", ["truncated", "missing"])
+    def test_validate_model_that_cannot_load_fails_cleanly(self, tmp_path, capsys, how):
+        path = tmp_path / "m.bdf"
+        if how == "truncated":
+            netgraph.save_model(benchcli.random_model(np.random.default_rng(12)), path)
+            path.write_bytes(path.read_bytes()[:40])
+        assert main(["validate", "--sizes", "tiny", "--seed", "7",
+                     "--model", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 4
+        assert f"[FAIL] model-file: cannot load {path}" in out
+
     def test_validate_model_that_cannot_run_fails_cleanly(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
         fm = netgraph.Model([netgraph.FloatBlock(
@@ -369,12 +384,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[FAIL]" in out and "first diff" in out
 
-    def test_validate_seed_env(self, monkeypatch):
-        monkeypatch.setenv("BITFLOW_SEED", "0x123")
-        assert benchcli._resolve_seed(None) == 0x123
-        monkeypatch.delenv("BITFLOW_SEED")
-        assert benchcli._resolve_seed(None) == 0xB17F10
-
     def test_convert_cli(self, tmp_path, capsys):
         task = trainkit.make_toy_task(
             seed=3, n_train=100, n_val=40, widths=(16, 16, 8),
@@ -408,7 +417,7 @@ class TestCli:
                      "--mode", "vgg-threshold"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 warning(s)" in out or "gamma == 0" in out
+        assert "1 warning(s)" in out and "gamma == 0" in out
 
     def test_convert_missing_file(self, capsys):
         assert main(["convert", "--in", "/nonexistent", "--out", "/tmp/x",

@@ -403,6 +403,8 @@ class TestConvertModel:
         )
         model, report = convert_model(fm, "vgg-threshold")
         assert report.gamma_zero_channels == [(0, 1)]
+        assert report.constant_channels == []  # reported once, as gamma == 0
+        assert report.warning_count == 1
 
     def test_resnet_tables_roundtrip(self):
         rng = np.random.default_rng(12)

@@ -113,6 +113,7 @@ class TestSurrogates:
             ("sign", "ste_sign", lambda x: np.abs(x) <= 2.0),
             ("clip", "clip_i8_surrogate", lambda x: np.abs(x) <= 200.0),
         ],
+        ids=["sign-window-2", "clip-window-200"],
     )
     def test_grad_check_sees_the_training_masks(self, monkeypatch, op, name, wrong_mask):
         real = getattr(tk, name)
