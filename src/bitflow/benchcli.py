@@ -10,9 +10,10 @@ record, is the staged 32-bit path's median over the variant's median, so
 values above 1 mean faster than staged.
 
 ``convert`` rewrites float batch-norm records into deployment form
-(thresholds or 16-bit fixed point); ``validate`` replays the oracle
-equivalence sweeps, the same ones the acceptance criteria run, and exits
-non-zero on the first mismatch.
+(thresholds or 16-bit fixed point); ``validate`` checks a ``--model`` file
+first and stops there if it fails, then replays the oracle equivalence
+sweeps, the same ones the acceptance criteria run, and exits non-zero if
+any finds a mismatch.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ _STANZA_KEYS = {"id": "name", "h": "height", "w": "width", "cin": "c_in", "cout"
 
 
 def parse_config_file(path) -> list:
-    """Parse key=value stanzas separated by blank lines."""
+    """Parse key=value stanzas separated by blank lines; a key may appear
+    once per stanza and an id, given or defaulted, once per file."""
     configs = []
     stanza: dict = {}
 
@@ -160,6 +162,8 @@ def parse_config_file(path) -> list:
             raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
         fields = {_STANZA_KEYS[k]: v if k == "id" else int(v) for k, v in stanza.items()}
         fields.setdefault("name", f"c{len(configs) + 1:02d}")
+        if any(c.name == fields["name"] for c in configs):
+            raise ValueError(f"{where}: id {fields['name']} repeated")
         configs.append(BenchConfig(**fields))
         stanza.clear()
 
@@ -172,8 +176,10 @@ def parse_config_file(path) -> list:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            stanza[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in stanza:
+                raise ValueError(f"config stanza {len(configs) + 1}: key {key} repeated")
+            stanza[key] = value
     flush()
     return configs
 
@@ -475,28 +481,22 @@ def validate_model_file(path, rng) -> SweepResult:
     blob = netgraph.model_to_bytes(model)
     if netgraph.model_to_bytes(netgraph.model_from_bytes(blob)) != blob:
         return SweepResult("model-file", 0, "re-save is not byte stable")
-    if not model.blocks:
-        return SweepResult("model-file", 0, "model has no layers")
     h, w = model_input_size(model)
     cin = model.blocks[0].kernel.in_channels
     if h * w * cin > _MAX_MODEL_INPUT:
         return SweepResult("model-file", 1, f"model needs a {h}x{w}x{cin} input, too large")
-    dims = (1, h, w, cin)
-    for i, blk in enumerate(model.blocks):
-        try:
-            dims = binconv.output_shape(dims, blk.kernel.dims, blk.spec)
-        except ValueError as exc:
-            return SweepResult("model-file", 1, f"model does not run: layer {i}: {exc}")
+    try:
+        shapes = netgraph.block_shapes(model, (1, h, w, cin))
+    except netgraph.GraphError as exc:
+        return SweepResult("model-file", 1, f"model does not run: {exc}")
+    for i, (blk, dims) in enumerate(zip(model.blocks, shapes)):
         # past 2**24 values the reference's im2col rows are inexact or huge
         sites, taps = dims[1] * dims[2], int(np.prod(blk.kernel.dims[1:]))
         if sites * taps >= binconv.ORACLE_MAX_TAPS:
             why = f"layer {i}: {sites} sites x {taps} taps, too many for the dense reference"
             return SweepResult("model-file", 1, why)
     x = rng.standard_normal((1, h, w, cin))
-    try:
-        got = netgraph.run_model(model, x).values
-    except netgraph.GraphError as exc:
-        return SweepResult("model-file", 1, f"model does not run: {exc}")
+    got = netgraph.run_model(model, x).values
     want = netgraph.run_float_reference(model, x)
     if not np.array_equal(got, want):
         why = f"executor differs from the dense reference, {_first_diff(got, want)}"
@@ -561,21 +561,21 @@ def cmd_validate(args) -> int:
     def rng():  # a fresh stream per sweep, as the acceptance criteria draw
         return np.random.default_rng(np.uint64(args.seed))
 
-    suites = [
-        conv_sweep(rng(), 60 if tiny else 1000, max_c=96 if tiny else 256),
-        fusion_sweep(rng(), 25 if tiny else 200),
-        threshold_sweep(rng(), 500 if tiny else 10_000),
-        serialization_sweep(rng(), 40 if tiny else 1000),
-    ]
-    if args.model:
-        suites.append(validate_model_file(args.model, rng()))
-    failed = False
-    for result in suites:
+    def report(result: SweepResult) -> bool:
         mark = "PASS" if result.ok else "FAIL"
         detail = f" ({result.checked} checked)" if result.ok else f": {result.failure}"
         print(f"[{mark}] {result.name}{detail}")
-        failed = failed or not result.ok
-    return EXIT_MISMATCH if failed else EXIT_OK
+        return result.ok
+
+    if args.model and not report(validate_model_file(args.model, rng())):
+        return EXIT_MISMATCH
+    passed = [
+        report(conv_sweep(rng(), 60 if tiny else 1000, max_c=96 if tiny else 256)),
+        report(fusion_sweep(rng(), 25 if tiny else 200)),
+        report(threshold_sweep(rng(), 500 if tiny else 10_000)),
+        report(serialization_sweep(rng(), 40 if tiny else 1000)),
+    ]
+    return EXIT_OK if all(passed) else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:

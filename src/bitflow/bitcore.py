@@ -75,13 +75,14 @@ class PackedKernelSet:
 
     Memory order is out_channels-major, then filter row, filter column,
     packed input channels, so one (out, fh, fw) site is a contiguous run
-    of words.
+    of words. The channel-pad bits must be zero: the match count assumes so.
     """
 
     dims: tuple[int, int, int, int]
     words: np.ndarray
 
     def __post_init__(self):
+        _check_pad_bits(self.words, self.in_channels)
         self.words.setflags(write=False)
 
     @property

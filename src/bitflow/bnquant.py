@@ -156,7 +156,8 @@ def compute_threshold(p: BNParams) -> ThresholdParams:
     even when tau falls within rounding distance of an integer.
 
     gamma == 0 channels are constant (+1 when beta >= 0, -1 otherwise);
-    they are encoded as always/never-true comparisons and reported with a
+    the grid search already encodes them as GE comparisons that always
+    (tau -128) or never (tau 128) hold, and they are reported with a
     warning.
     """
     gamma = np.asarray(p.gamma, dtype=np.float64)
@@ -174,9 +175,6 @@ def compute_threshold(p: BNParams) -> ThresholdParams:
     tau_int = tau_int.astype(np.int16)
     zero = np.flatnonzero(gamma == 0)
     if zero.size:
-        # constant channels: GE -128 is always true, GE 128 never
-        tau_int[zero] = np.where(p.beta[zero] >= 0, -128, 128).astype(np.int16)
-        direction[zero] = GE
         warnings.warn(
             f"gamma == 0 makes channels {zero.tolist()} constant "
             f"({np.where(p.beta[zero] >= 0, '+1', '-1').tolist()})",

@@ -28,9 +28,12 @@ everything before it closes the file. Per tag (``_LAYOUT``):
   and then ``gamma``, ``beta``, ``mu``, ``sigma`` (f64 each).
 
 The CRC is checked before any parsing, so every single-byte corruption is
-rejected. Kernel words with a set channel-pad bit are rejected too: the
-match count assumes those bits are zero. So is spatial padding as large
-as the filter, which only bloats the output with all-pad sites.
+rejected. Each structural rule has one owner, so models built in memory
+and models read from a file meet the same rules: ``PackedKernelSet`` (zero
+channel-pad bits, as the match count assumes), the blocks (one table value
+per output channel; padding below, stride at most the filter size),
+``Model`` (non-empty, known block types) and, for one input,
+``block_shapes``, which ``run_model`` and ``bitflow validate`` both call.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
-    _check_pad_bits,
     unpack_weights,
     words_per_pixel,
 )
@@ -82,16 +84,8 @@ class GraphError(Exception):
 
 def _check_identity_shortcut(kernel: PackedKernelSet, spec: ConvSpec) -> None:
     out, fh, fw, cin = kernel.dims
-    ph, pw = spec.spatial_pad
-    ok = (
-        out == cin
-        and spec.stride == (1, 1)
-        and fh % 2 == 1
-        and fw % 2 == 1
-        and ph == (fh - 1) // 2
-        and pw == (fw - 1) // 2
-    )
-    if not ok:
+    same = spec.stride == (1, 1) and spec.spatial_pad == (fh // 2, fw // 2)
+    if not (out == cin and fh % 2 == 1 and fw % 2 == 1 and same):
         raise GraphError(
             "identity shortcut needs matching channels and a shape-preserving "
             f"convolution; got kernel {kernel.dims}, spec {spec}"
@@ -99,64 +93,67 @@ def _check_identity_shortcut(kernel: PackedKernelSet, spec: ConvSpec) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class VggBlock:
-    """Conv + threshold binarization; ``thr`` is None for terminal blocks."""
+class _Block:
+    """A convolution; each subclass adds its one table field (``_LAYOUT``).
+    Padding stays below and stride at most the filter size, so every window
+    reads input and no input pixel falls between two windows."""
 
     kernel: PackedKernelSet
     spec: ConvSpec
-    thr: ThresholdParams | None = None
 
     def __post_init__(self):
-        if self.thr is not None and self.thr.channels != self.kernel.out_channels:
-            raise GraphError(
-                f"threshold channels {self.thr.channels} != "
-                f"conv output channels {self.kernel.out_channels}"
-            )
+        filt, spec = self.kernel.dims[1:3], self.spec
+        if any(p >= f for p, f in zip(spec.spatial_pad, filt)):
+            raise GraphError(f"padding {spec.spatial_pad} must be below the filter size {filt}")
+        if any(s > f for s, f in zip(spec.stride, filt)):
+            raise GraphError(f"stride {spec.stride} must not exceed the filter size {filt}")
+        field = _LAYOUT[type(self)][1]
+        tables = getattr(self, field)
+        if tables is not None and tables.channels != self.kernel.out_channels:
+            raise GraphError(f"{field} channels {tables.channels} != "
+                             f"conv output channels {self.kernel.out_channels}")
 
 
 @dataclass(frozen=True, eq=False)
-class ResnetBlock:
+class VggBlock(_Block):
+    """Conv + threshold binarization; ``thr`` is None for terminal blocks."""
+
+    thr: ThresholdParams | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ResnetBlock(_Block):
     """Conv + quantized batch norm + saturating add with identity shortcut."""
 
-    kernel: PackedKernelSet
-    spec: ConvSpec
     qbn: QBNParams
 
     def __post_init__(self):
         _check_identity_shortcut(self.kernel, self.spec)
-        if self.qbn.channels != self.kernel.out_channels:
-            raise GraphError(
-                f"qbn channels {self.qbn.channels} != "
-                f"conv output channels {self.kernel.out_channels}"
-            )
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
-class FloatBlock:
+class FloatBlock(_Block):
     """Conv + float batch-norm record awaiting conversion; ``bn`` None means
     a terminal bare convolution."""
 
-    kernel: PackedKernelSet
-    spec: ConvSpec
     bn: BNParams | None = None
-
-    def __post_init__(self):
-        if self.bn is not None and self.bn.channels != self.kernel.out_channels:
-            raise GraphError(
-                f"bn channels {self.bn.channels} != "
-                f"conv output channels {self.kernel.out_channels}"
-            )
 
 
 @dataclass(eq=False)
 class Model:
-    """An ordered sequence of blocks executed front to back."""
+    """A non-empty ordered sequence of blocks executed front to back."""
 
     blocks: list
 
     def __post_init__(self):
+        if not self.blocks:
+            raise GraphError("model has no layers")
         if len(self.blocks) > 0xFFFF:
             raise GraphError("too many layers for the file format")
+        for i, blk in enumerate(self.blocks):
+            if type(blk) not in _LAYOUT:
+                raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
 
 
 def run_vgg_block(x, b: VggBlock, threads: int = 1):
@@ -190,38 +187,42 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
     return I8FeatureMap(np.clip(summed, -127, 127).astype(np.int8))
 
 
-def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
-    """Run a model on a real NHWC input.
-
-    The input is binarized by sign into a +-1 8-bit map; blocks then run
-    sequentially. The final block must emit an 8-bit map (a terminal VGG
-    block or any ResNet block). Block types and order (no ResNet block after
-    one that emits packed bits), every block's output shape and the final
-    block are checked before the first block runs.
-    """
-    if not model.blocks:
-        raise GraphError("model has no layers")
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise GraphError(f"input must be NHWC, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise GraphError("input must be finite")
-    dims = x.shape
+def block_shapes(model: Model, input_dims) -> list:
+    """Each block's output dims for an NHWC input of ``input_dims``; raises
+    GraphError where ``run_model`` cannot run: a float block, a residual
+    block after packed bits, a last block not emitting 8 bits, or a shape
+    ``output_shape`` rejects."""
+    dims, shapes = input_dims, []
     packed = False  # the previous block emits packed bits
     for i, blk in enumerate(model.blocks):
         if isinstance(blk, FloatBlock):
             raise GraphError(f"layer {i} holds float batch norm; convert it first")
-        if not isinstance(blk, (VggBlock, ResnetBlock)):
-            raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
         if packed and isinstance(blk, ResnetBlock):
             raise GraphError(f"layer {i}: residual blocks need an 8-bit input, not packed bits")
         try:
             dims = output_shape(dims, blk.kernel.dims, blk.spec)
         except ValueError as exc:
             raise GraphError(f"layer {i}: {exc}") from exc
+        shapes.append(dims)
         packed = isinstance(blk, VggBlock) and blk.thr is not None
     if packed:
         raise GraphError("model must end with a terminal block emitting 8-bit values")
+    return shapes
+
+
+def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
+    """Run a model on a real NHWC input.
+
+    The input is binarized by sign into a +-1 8-bit map; blocks then run
+    sequentially. :func:`block_shapes` checks the whole model against the
+    input before the first block runs.
+    """
+    x = np.asarray(x)
+    if x.ndim != 4:
+        raise GraphError(f"input must be NHWC, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise GraphError("input must be finite")
+    block_shapes(model, x.shape)
     signs = (x >= 0).view(np.int8)
     signs *= 2
     signs -= 1
@@ -242,9 +243,7 @@ def run_float_reference(model: Model, x: np.ndarray, mode: str | None = None) ->
     A block without batch norm or thresholds emits its clipped int8 map.
     """
     h = np.where(np.asarray(x) >= 0, 1.0, -1.0)
-    for i, blk in enumerate(model.blocks):
-        if not isinstance(blk, (FloatBlock, VggBlock, ResnetBlock)):
-            raise GraphError(f"layer {i} has unknown type {type(blk).__name__}")
+    for blk in model.blocks:
         if isinstance(blk, FloatBlock) and mode not in ("vgg", "resnet"):
             raise ValueError(f"unknown mode {mode!r}")
         a = np.where(h >= 0, 1, -1).astype(np.int8)
@@ -327,8 +326,6 @@ _BY_TAG = {tag: cls for cls, (tag, _, _) in _LAYOUT.items()}
 
 
 def _block_bytes(blk) -> bytes:
-    if type(blk) not in _LAYOUT:
-        raise GraphError(f"cannot serialize block type {type(blk).__name__}")
     tag, field, tables = _LAYOUT[type(blk)]
     k, spec, params = blk.kernel, blk.spec, getattr(blk, field)
     out = struct.pack("<B4I4I", tag, *k.dims, *spec.stride, *spec.spatial_pad)
@@ -385,31 +382,25 @@ def _read_tables(cur: _Cursor, cls, out: int):
 
 def _read_block(cur: _Cursor):
     tag, out, fh, fw, cin, sh, sw, ph, pw = cur.unpack("<B4I4I")
-    try:
-        if tag not in _BY_TAG:
-            raise ValueError(f"unknown layer tag {tag}")
-        cls = _BY_TAG[tag]
-        spec = ConvSpec((sh, sw), (ph, pw))
-        wps = words_per_pixel(cin) if cin else 0
-        if min(out, fh, fw, cin) <= 0:
-            raise ValueError(f"bad kernel dims {(out, fh, fw, cin)}")
-        if ph >= fh or pw >= fw:
-            raise ValueError(f"padding {(ph, pw)} must be below the filter size {(fh, fw)}")
-        nwords = out * fh * fw * wps
-        words = (
-            np.frombuffer(cur.take(nwords * 8), dtype="<u8")
-            .astype(np.uint64)
-            .reshape(out, fh, fw, wps)
-        )
-        _check_pad_bits(words, cin)
-        kernel = PackedKernelSet((out, fh, fw, cin), words)
-        return cls(kernel, spec, _read_tables(cur, cls, out))
-    except (ValueError, GraphError) as exc:
-        raise ModelFormatError(str(exc)) from exc
+    if tag not in _BY_TAG:
+        raise ValueError(f"unknown layer tag {tag}")
+    cls = _BY_TAG[tag]
+    spec = ConvSpec((sh, sw), (ph, pw))
+    if min(out, fh, fw, cin) <= 0:
+        raise ValueError(f"bad kernel dims {(out, fh, fw, cin)}")
+    wps = words_per_pixel(cin)
+    words = (
+        np.frombuffer(cur.take(out * fh * fw * wps * 8), dtype="<u8")
+        .astype(np.uint64)
+        .reshape(out, fh, fw, wps)
+    )
+    kernel = PackedKernelSet((out, fh, fw, cin), words)
+    return cls(kernel, spec, _read_tables(cur, cls, out))
 
 
 def model_from_bytes(buf: bytes) -> Model:
-    """Parse a model file; checks magic, version and CRC before structure."""
+    """Parse a model file; checks magic, version and CRC before structure,
+    which the blocks and ``Model`` then check as on construction."""
     if len(buf) < len(MAGIC) + 8:
         raise ModelFormatError("model file too short")
     if buf[:4] != MAGIC:
@@ -422,10 +413,12 @@ def model_from_bytes(buf: bytes) -> Model:
     version, nlayers = cur.unpack("<HH")
     if version != VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    blocks = [_read_block(cur) for _ in range(nlayers)]
+    try:
+        model = Model([_read_block(cur) for _ in range(nlayers)])
+    except (ValueError, GraphError) as exc:
+        raise ModelFormatError(str(exc)) from exc
     if cur.pos != len(cur.buf):
         raise ModelFormatError("trailing bytes after last layer")
-    model = Model(blocks)
     _warn_constant_channels(model)
     return model
 

@@ -112,6 +112,16 @@ class TestPacking:
         assert k2.words_per_site == 2 and k2.channel_pad == 0
         assert _match_bias(3, 3, 128, 64 * k2.words_per_site) == 9 * 128
 
+    @pytest.mark.parametrize("channels,bit", [(3, 3), (65, 63), (127, 63)])
+    def test_kernel_with_a_set_pad_bit_rejected(self, channels, bit):
+        # the match bias counts every pad bit as a match, so one set bit
+        # would shift that output's count
+        words = pack_weights(np.ones((2, 3, 3, channels))).words.copy()
+        bitcore.PackedKernelSet((2, 3, 3, channels), words.copy())
+        words[1, 2, 0, -1] |= np.uint64(1) << np.uint64(bit)
+        with pytest.raises(ValueError, match="pad bits"):
+            bitcore.PackedKernelSet((2, 3, 3, channels), words)
+
     @pytest.mark.parametrize("shape", [(0, 2, 2, 4), (1, 2, 0, 4), (1, 2, 2, 0)])
     def test_zero_dim_rejected(self, shape):
         with pytest.raises(ValueError):

@@ -210,6 +210,48 @@ class TestResnetBlock:
             run_resnet_block(bits, blk)
 
 
+def _tables(cls, rng, channels):
+    if cls is VggBlock:
+        return compute_threshold(bn(rng, channels))
+    if cls is ResnetBlock:
+        return quantize_bn(bn(rng, channels))[0]
+    return bn(rng, channels)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cls", [VggBlock, ResnetBlock, FloatBlock])
+    @pytest.mark.parametrize("pad", [(3, 1), (1, 3)], ids=["rows", "cols"])
+    def test_padding_not_below_filter_raises(self, cls, pad):
+        rng = np.random.default_rng(22)
+        kernel = pack_weights(rng.standard_normal((4, 3, 3, 4)))
+        with pytest.raises(GraphError):
+            cls(kernel, ConvSpec(spatial_pad=pad), _tables(cls, rng, 4))
+
+    @pytest.mark.parametrize("cls", [VggBlock, FloatBlock])
+    @pytest.mark.parametrize("stride", [(4, 1), (1, 4)], ids=["rows", "cols"])
+    def test_stride_above_filter_raises(self, cls, stride):
+        rng = np.random.default_rng(23)
+        kernel = pack_weights(rng.standard_normal((4, 3, 3, 4)))
+        with pytest.raises(GraphError, match="stride"):
+            cls(kernel, ConvSpec(stride), _tables(cls, rng, 4))
+        cls(kernel, ConvSpec((3, 3)), _tables(cls, rng, 4))  # stride == filter is fine
+
+    @pytest.mark.parametrize("cls", [VggBlock, ResnetBlock, FloatBlock])
+    def test_table_channels_must_match_the_conv(self, cls):
+        rng = np.random.default_rng(24)
+        kernel = pack_weights(rng.standard_normal((4, 3, 3, 4)))
+        field = ng._LAYOUT[cls][1]
+        with pytest.raises(GraphError, match=f"{field} channels 5 != conv output channels 4"):
+            cls(kernel, ConvSpec(spatial_pad=(1, 1)), _tables(cls, rng, 5))
+
+    def test_model_needs_known_blocks(self):
+        blk = VggBlock(pack_weights(np.ones((2, 3, 3, 2))), ConvSpec())
+        with pytest.raises(GraphError, match="model has no layers"):
+            Model([])
+        with pytest.raises(GraphError, match="layer 1 has unknown type object"):
+            Model([blk, object()])
+
+
 class TestRunModel:
     def test_empty_model_rejected(self):
         with pytest.raises(GraphError):
@@ -288,24 +330,20 @@ class TestRunModel:
         with pytest.raises(GraphError, match="channel mismatch: input 5, kernel 2"):
             run_model(Model([blk]), np.ones((1, 6, 6, 5)))
 
-    def test_huge_stride_file_is_a_graph_error_before_any_block_runs(
-        self, tmp_path, monkeypatch
-    ):
-        # a CRC-valid file: a 3x3 stride-2**20 block, then a 3x3 block
+    def test_huge_stride_file_is_a_graph_error_before_any_block_runs(self, tmp_path):
+        # a 3x3 stride-2**20 window skips nearly every input pixel: the block
+        # cannot be built, and a CRC-valid file holding one does not load
         rng = np.random.default_rng(15)
-        save_model(Model([
-            VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 2))), ConvSpec((1 << 20,) * 2)),
-            VggBlock(pack_weights(rng.standard_normal((4, 3, 3, 3))), ConvSpec()),
-        ]), tmp_path / "m.bdf")
-        model = load_model(tmp_path / "m.bdf")
-        ran = []
-        monkeypatch.setattr(ng, "run_vgg_block", lambda *a, **kw: ran.append(a))
-        with pytest.raises(GraphError, match="layer 0: non-positive output dims 0x0"):
-            run_model(model, np.ones((1, 2, 2, 2)))
-        # 8x8 passes the first block (1x1 out) but not the second
-        with pytest.raises(GraphError, match="layer 1: non-positive output dims -1x-1"):
-            run_model(model, np.ones((1, 8, 8, 2)))
-        assert ran == []
+        kernel = pack_weights(rng.standard_normal((3, 3, 3, 2)))
+        with pytest.raises(GraphError, match="stride"):
+            VggBlock(kernel, ConvSpec((1 << 20,) * 2))
+        buf = bytearray(model_to_bytes(Model([VggBlock(kernel, ConvSpec())])))
+        # block header after the 8-byte file header: sh at 17, sw at 21
+        struct.pack_into("<2I", buf, 8 + 17, 1 << 20, 1 << 20)
+        buf[-4:] = struct.pack("<I", zlib.crc32(bytes(buf[:-4])))
+        (tmp_path / "m.bdf").write_bytes(bytes(buf))
+        with pytest.raises(ModelFormatError, match="stride"):
+            load_model(tmp_path / "m.bdf")
 
     def test_huge_output_is_a_graph_error_before_any_block_runs(self, tmp_path, monkeypatch):
         # ~1 MB of kernels grow a 1x1x1 input to F x F, then to 512
@@ -323,6 +361,28 @@ class TestRunModel:
         with pytest.raises(GraphError, match=f"layer 2: output 1x{f}x{f}x512 exceeds"):
             run_model(model, np.ones((1, 1, 1, 1)))
         assert ran == []
+
+
+    def test_block_shapes_are_the_dims_run_model_produces(self):
+        # the toy VGG geometry: 3x3 stem 8->64, 8x8 stride-8 64->64, 3x3
+        # terminal 64->32
+        rng = np.random.default_rng(21)
+        blocks = [
+            VggBlock(pack_weights(rng.standard_normal((64, 3, 3, 8))),
+                     ConvSpec(spatial_pad=(1, 1)), compute_threshold(bn(rng, 64))),
+            VggBlock(pack_weights(rng.standard_normal((64, 8, 8, 64))),
+                     ConvSpec((8, 8)), compute_threshold(bn(rng, 64))),
+            VggBlock(pack_weights(rng.standard_normal((32, 3, 3, 64))),
+                     ConvSpec(spatial_pad=(1, 1))),
+        ]
+        x = rng.standard_normal((2, 16, 16, 8))
+        shapes = ng.block_shapes(Model(blocks), x.shape)
+        assert shapes == [(2, 16, 16, 64), (2, 2, 2, 64), (2, 2, 2, 32)]
+        h = I8FeatureMap(np.where(x >= 0, 1, -1).astype(np.int8))
+        for blk, dims in zip(blocks, shapes):
+            h = run_vgg_block(h, blk)
+            assert h.dims == dims
+        assert run_model(Model(blocks), x).dims == shapes[-1]
 
 
 class TestFloatReference:
@@ -556,6 +616,8 @@ class TestSerialization:
             ("vgg", _put("<B", 8, 9), "unknown layer tag 9"),
             ("vgg", _put("<I", 9, 0), "bad kernel dims"),
             ("vgg", _put("<I", 21, 0), "bad kernel dims"),
+            ("vgg", _put("<I", 8 + 17, 2), "stride"),
+            ("vgg", lambda b: _put("<H", 6, 0)(b[:8]), "no layers"),
             ("vgg", _put("<B", _TABLES, 2), "bad threshold flag"),
             ("float", _put("<B", _TABLES, 2), "bad batch-norm flag"),
             ("vgg", _put("<B", _TABLES + 1 + 2 * 2 + 1, 2), "invalid threshold direction"),
@@ -565,6 +627,7 @@ class TestSerialization:
         ],
         ids=[
             "too-short", "truncated", "trailing", "tag", "zero-out", "zero-cin",
+            "stride", "no-layers",
             "vgg-flag", "float-flag", "direction", "tau", "sigma-zero", "sigma-nan",
         ],
     )
