@@ -19,8 +19,9 @@ Two output paths share that accumulation:
 the input; tiling and worker count are pure performance knobs and never
 change results.
 
-The dense reference ``conv_float_oracle`` is one float32 GEMM over
-:func:`im2col` rows, the same rows training multiplies.
+The dense reference ``conv_float_oracle`` is one 2-D float32 GEMM
+(:func:`gemm_rows`) over :func:`im2col` rows, the same rows and the same
+product training uses.
 
 Both kernels count with ``np.bitwise_count``. The staged kernel counts
 bytes, folds each word's byte counts with one multiply-shift and widens
@@ -373,18 +374,35 @@ def staged_conv_i8(
 
 
 def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec) -> np.ndarray:
-    """Receptive fields of an NHWC tensor as (n, oh, ow, fh*fw*c) float32
-    rows padded with -1, taps in the (i, j, channel) order of a kernel: one
-    copy of a strided ``sliding_window_view`` of the padded input."""
+    """Receptive fields of an NHWC tensor as a fresh (n, oh, ow, fh*fw*c)
+    float32 array of rows padded with -1, taps in the (i, j, channel) order
+    of a kernel: one copy of a strided ``sliding_window_view`` of the input,
+    padded first only when the spec pads."""
     n, h, w, c = a.shape
     _, oh, ow, _ = output_shape(a.shape, (1, fh, fw, c), spec)
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
-    ap = np.full((n, h + 2 * ph, w + 2 * pw, c), float(PAD_VALUE), dtype=np.float32)
-    ap[:, ph : ph + h, pw : pw + w, :] = a
+    if ph == pw == 0:
+        ap = a.astype(np.float32, copy=False)
+    else:
+        ap = np.full((n, h + 2 * ph, w + 2 * pw, c), float(PAD_VALUE), dtype=np.float32)
+        ap[:, ph : ph + h, pw : pw + w, :] = a
     win = sliding_window_view(ap, (fh, fw), axis=(1, 2))
     win = win[:, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, fh * fw * c)
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, fh * fw * c)
+    # rows that are runs of whole input pixels (a 1x1 or full-width filter)
+    # reshape to a read-only view of the input
+    return cols.copy() if np.may_share_memory(cols, ap) else cols
+
+
+def gemm_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` for rows with any leading axes, as one 2-D BLAS GEMM;
+    a stacked ``@`` would run one small GEMM per leading slice. Over +-1
+    operands every sum is exact; over float ones the BLAS kernel may round
+    differently from the stacked product, though not on training's GEMMs
+    (``tests/test_binconv.py::TestGemmRows``)."""
+    flat = rows.reshape(-1, rows.shape[-1]) @ mat
+    return flat.reshape(*rows.shape[:-1], mat.shape[-1])
 
 
 def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32FeatureMap:
@@ -406,4 +424,4 @@ def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32Featur
     if not (((a == 1) | (a == -1)).all() and ((w == 1) | (w == -1)).all()):
         raise ValueError("oracle operands must be +-1 valued")
     wmat = w.reshape(out, -1).T.astype(np.float32)
-    return I32FeatureMap((im2col(a, fh, fw, spec) @ wmat).astype(np.int32))
+    return I32FeatureMap(gemm_rows(im2col(a, fh, fw, spec), wmat).astype(np.int32))

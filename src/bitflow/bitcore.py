@@ -75,13 +75,19 @@ class PackedKernelSet:
 
     Memory order is out_channels-major, then filter row, filter column,
     packed input channels, so one (out, fh, fw) site is a contiguous run
-    of words. The channel-pad bits must be zero: the match count assumes so.
+    of words. ``words`` must be (out, fh, fw, words_per_pixel(in)) and its
+    channel-pad bits zero: the match count assumes both.
     """
 
     dims: tuple[int, int, int, int]
     words: np.ndarray
 
     def __post_init__(self):
+        out, fh, fw, cin = self.dims
+        want = (out, fh, fw, words_per_pixel(cin))
+        if self.words.shape != want:
+            raise ValueError(f"kernel words have shape {self.words.shape}, "
+                             f"dims {self.dims} need {want}")
         _check_pad_bits(self.words, self.in_channels)
         self.words.setflags(write=False)
 

@@ -140,13 +140,15 @@ class FloatBlock(_Block):
     bn: BNParams | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Model:
-    """A non-empty ordered sequence of blocks executed front to back."""
+    """A non-empty ordered sequence of blocks executed front to back, held as
+    a tuple so the checks below stay true after construction."""
 
-    blocks: list
+    blocks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise GraphError("model has no layers")
         if len(self.blocks) > 0xFFFF:

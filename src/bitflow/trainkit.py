@@ -13,10 +13,11 @@ quantizes batch-norm layers one at a time (fit a shared 16-bit format,
 inject the quantization noise, freeze, retrain the rest).
 
 Everything is seeded and single-worker: one seed reproduces loss curves
-bit for bit. Convolutions run as :func:`binconv.im2col` matmuls over +-1
-values padded with -1, so they are exact in float32 and agree with the
-packed integer engine wherever both apply; their gradients return through
-``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
+bit for bit. Convolutions run as one 2-D GEMM per convolution
+(:func:`binconv.gemm_rows`) over :func:`binconv.im2col` rows of +-1 values
+padded with -1, so they are exact in float32 and agree with the packed
+integer engine wherever both apply; their input gradients take one 2-D GEMM
+too and return through ``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
 at fixed per-stage learning rates (module constants) with cosine decay.
 The threshold export runs the float export through ``convert_model``, the
 conversion ``bitflow convert`` uses.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binconv import ConvSpec, im2col
+from .binconv import ConvSpec, gemm_rows, im2col
 from .bitcore import pack_weights
 from .bnquant import BNParams, QBNParams, quantize_bn
 from .netgraph import FloatBlock, Model, ResnetBlock, convert_model, run_float_reference
@@ -430,7 +431,7 @@ def _forward(state: TrainState, x, training: bool):
         wb, wmask = ste_sign(blk.weight)
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
         cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
-        f = cols @ wmat
+        f = gemm_rows(cols, wmat)
         cmask = _window_mask(f, 127.0) if clip_on else None
         if clip_on:
             np.clip(f, -127.0, 127.0, out=f)  # f is fresh and cached nowhere
@@ -511,7 +512,7 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         dw = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
         grads.append((("weight", bi), blk.weight, dw))
         if bi > 0 or resnet:
-            dcols = df @ cache["wmat"].T
+            dcols = gemm_rows(df, cache["wmat"].T)
             fh, fw = blk.weight.shape[1], blk.weight.shape[2]
             dh = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
             dh *= cache["amask"]

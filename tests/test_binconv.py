@@ -12,6 +12,7 @@ from bitflow.binconv import (
     conv_i8,
     conv_i32,
     default_tile_rows,
+    gemm_rows,
     output_shape,
     staged_conv_i8,
 )
@@ -126,6 +127,70 @@ class TestIm2col:
                         assert got.dtype == np.float32
                         assert got.tobytes() == pertap_im2col(a, fh, fw, spec).tobytes()
 
+    # an unpadded 1x1 filter reads whole pixels, and so does an unpadded
+    # filter as wide as the input: their rows reshape to views
+    @pytest.mark.parametrize(
+        "fh,fw,stride,pad",
+        [(1, 1, (1, 1), (0, 0)), (1, 1, (2, 3), (0, 0)), (2, 9, (1, 1), (0, 0)),
+         (3, 3, (1, 1), (0, 0)), (3, 3, (2, 1), (1, 1)), (2, 11, (1, 1), (0, 1))],
+        ids=["1x1", "1x1-stride", "full-width", "3x3", "3x3-pad", "full-padded-width"],
+    )
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.int8, np.float64])
+    def test_returns_a_fresh_writable_array(self, fh, fw, stride, pad, layout, dtype):
+        rng = np.random.default_rng(29)
+        a = rng.integers(-127, 128, size=(2, 10, 9, 6)).astype(dtype)
+        if layout == "strided":
+            a = a[:, :, :, 1:5]
+        spec = ConvSpec(stride, pad)
+        want = pertap_im2col(a, fh, fw, spec)
+        got = binconv.im2col(a, fh, fw, spec)
+        assert not np.shares_memory(got, a)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        got += 1  # writable, and the input does not move
+        assert binconv.im2col(a, fh, fw, spec).tobytes() == want.tobytes()
+
+
+# (leading axes, kernel dims) of the toy tasks' convolutions at the training
+# batch that also take an input gradient: the vgg 8x8 stride-8 block and 3x3
+# terminal block, and a resnet block. The vgg stem takes none; on its shape
+# (64 channels into 72 taps) the 2-D and stacked products round differently,
+# each within float32 error.
+GRAD_GEMMS = [
+    ((100, 2, 2), (64, 8, 8, 64)),
+    ((100, 2, 2), (32, 3, 3, 64)),
+    ((100, 16, 16), (8, 3, 3, 8)),
+]
+# every forward GEMM, at the training batch (100) and the eval batch (200)
+FORWARD_GEMMS = [
+    ((n, *lead[1:]), kdims)
+    for n in (100, 200)
+    for lead, kdims in [((100, 16, 16), (64, 3, 3, 8))] + GRAD_GEMMS
+]
+
+
+class TestGemmRows:
+    @pytest.mark.parametrize("lead,kdims", FORWARD_GEMMS)
+    def test_forward_equals_the_stacked_matmul(self, lead, kdims):
+        rng = np.random.default_rng(31)
+        k = int(np.prod(kdims[1:]))
+        rows = rng.choice(np.float32([-1, 1]), size=(*lead, k))
+        wb = rng.choice(np.float32([-1, 1]), size=kdims)
+        wmat = wb.reshape(kdims[0], -1).T  # (K, O), as trainkit lays it out
+        got = gemm_rows(rows, wmat)
+        assert got.shape == (*lead, kdims[0])
+        assert got.tobytes() == (rows @ wmat).tobytes()
+
+    @pytest.mark.parametrize("lead,kdims", GRAD_GEMMS)
+    def test_input_gradient_equals_the_stacked_matmul(self, lead, kdims):
+        rng = np.random.default_rng(37)
+        df = rng.standard_normal((*lead, kdims[0])).astype(np.float32) * np.float32(1e-3)
+        df[rng.random(df.shape) < 0.1] = 0.0  # the clip mask's zeros
+        wb = rng.choice(np.float32([-1, 1]), size=kdims)
+        wt = wb.reshape(kdims[0], -1)  # (O, K), the transposed (K, O) matrix
+        got = gemm_rows(df, wt)
+        assert got.shape == (*lead, wt.shape[1])
+        assert got.tobytes() == (df @ wt).tobytes()
 
 class TestOracle:
     def test_single_tap_identity(self):

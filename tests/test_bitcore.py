@@ -122,6 +122,15 @@ class TestPacking:
         with pytest.raises(ValueError, match="pad bits"):
             bitcore.PackedKernelSet((2, 3, 3, channels), words)
 
+    @pytest.mark.parametrize("words_shape", [(2, 3, 3, 2), (2, 3, 3), (1, 3, 3, 1), (2, 3, 1, 1)])
+    def test_kernel_words_must_fit_the_dims(self, words_shape):
+        # two words per 3-channel site read as 2 * 27 extra pad matches:
+        # a one-block model gave -81 where the 27 taps of -1 give -27
+        with pytest.raises(ValueError, match="need \\(2, 3, 3, 1\\)"):
+            bitcore.PackedKernelSet((2, 3, 3, 3), np.zeros(words_shape, np.uint64))
+        k = bitcore.PackedKernelSet((2, 3, 3, 3), np.zeros((2, 3, 3, 1), np.uint64))
+        assert k.words_per_site == 1
+
     @pytest.mark.parametrize("shape", [(0, 2, 2, 4), (1, 2, 0, 4), (1, 2, 2, 0)])
     def test_zero_dim_rejected(self, shape):
         with pytest.raises(ValueError):

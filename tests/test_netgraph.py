@@ -251,6 +251,22 @@ class TestConstruction:
         with pytest.raises(GraphError, match="layer 1 has unknown type object"):
             Model([blk, object()])
 
+    def test_blocks_cannot_change_after_the_checks(self):
+        # a list would let an unknown block in (a raw KeyError on save) or
+        # empty the model (a zero-layer file the loader rejects)
+        blk = VggBlock(pack_weights(np.ones((2, 3, 3, 2))), ConvSpec())
+        blocks = [blk]
+        m = Model(blocks)
+        blocks.append(object())
+        assert m.blocks == (blk,)
+        with pytest.raises(AttributeError):
+            m.blocks.append(object())
+        with pytest.raises(AttributeError):
+            m.blocks.clear()
+        with pytest.raises(AttributeError):
+            m.blocks = []
+        assert model_from_bytes(model_to_bytes(m)).blocks[0].kernel.dims == (2, 3, 3, 2)
+
 
 class TestRunModel:
     def test_empty_model_rejected(self):
