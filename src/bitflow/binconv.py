@@ -390,8 +390,8 @@ def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec) -> np.ndarray:
     win = sliding_window_view(ap, (fh, fw), axis=(1, 2))
     win = win[:, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw]
     cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, fh * fw * c)
-    # rows that are runs of whole input pixels (a 1x1 or full-width filter)
-    # reshape to a read-only view of the input
+    # rows that are runs of whole pixels (a 1x1 or full-width filter)
+    # reshape to a read-only view
     return cols.copy() if np.may_share_memory(cols, ap) else cols
 
 
@@ -399,8 +399,7 @@ def gemm_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """``rows @ mat`` for rows with any leading axes, as one 2-D BLAS GEMM;
     a stacked ``@`` would run one small GEMM per leading slice. Over +-1
     operands every sum is exact; over float ones the BLAS kernel may round
-    differently from the stacked product, though not on training's GEMMs
-    (``tests/test_binconv.py::TestGemmRows``)."""
+    differently from the stacked product (the tests pin training's shapes)."""
     flat = rows.reshape(-1, rows.shape[-1]) @ mat
     return flat.reshape(*rows.shape[:-1], mat.shape[-1])
 

@@ -13,11 +13,11 @@ quantizes batch-norm layers one at a time (fit a shared 16-bit format,
 inject the quantization noise, freeze, retrain the rest).
 
 Everything is seeded and single-worker: one seed reproduces loss curves
-bit for bit. Convolutions run as one 2-D GEMM per convolution
-(:func:`binconv.gemm_rows`) over :func:`binconv.im2col` rows of +-1 values
-padded with -1, so they are exact in float32 and agree with the packed
-integer engine wherever both apply; their input gradients take one 2-D GEMM
-too and return through ``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
+bit for bit. Each convolution is one 2-D GEMM (:func:`binconv.gemm_rows`)
+over :func:`binconv.im2col` rows of +-1 values padded with -1, so it is
+exact in float32 and agrees with the packed integer engine wherever both
+apply; its input gradient is one 2-D GEMM too and returns through
+``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
 at fixed per-stage learning rates (module constants) with cosine decay.
 The threshold export runs the float export through ``convert_model``, the
 conversion ``bitflow convert`` uses.
