@@ -19,6 +19,7 @@ any finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import statistics
@@ -43,6 +44,11 @@ BASELINE_VARIANT = "i32-staged"
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# Ceilings on a bench run's timed calls per variant (repeats, and warmups
+# apart) and on its worker threads; a larger value is a usage error.
+_MAX_REPEATS = 10_000
+_MAX_THREADS = 64
 
 
 @dataclass
@@ -85,11 +91,13 @@ class BenchReport:
 
     def to_json(self, argv, seed: int) -> str:
         """The rows beside what produced them: git sha, numpy version, CPU
-        count, the command and the workload seed."""
+        count, the loaded OpenBLAS's thread count, the command and the
+        workload seed."""
         record = {
             "git_sha": _git_sha(Path(__file__).resolve().parents[2]),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "blas_threads": _blas_threads(),
             "argv": ["bitflow", *argv],
             "seed": seed,
             "rows": [asdict(r) for r in self.rows],
@@ -116,6 +124,25 @@ def _git_sha(root: Path) -> str | None:
     except (OSError, subprocess.TimeoutExpired):
         return None
     return found[1] + ("-dirty" if dirty else "")
+
+
+def _blas_threads() -> int | None:
+    """Thread count reported by the OpenBLAS this process loaded, else None
+    (no OpenBLAS found, or no ``/proc/self/maps`` to find it in)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+        for lib in libs:
+            dll = ctypes.CDLL(lib)
+            for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads"):
+                fn = getattr(dll, sym, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    return fn()
+    except OSError:
+        pass
+    return None
 
 
 def default_suite() -> list:
@@ -224,10 +251,15 @@ def run_bench(
     with the staged binarize/pack/convolve/clamp pipeline on one thread; a
     disagreement raises before anything is timed. Then every variant warms
     up, and each repeat times every variant once in turn, so a burst of
-    host load spreads over all of them.
+    host load spreads over all of them. Out-of-range counts raise
+    ``ValueError`` before any workload is built.
     """
-    if repeats < 5:
-        raise ValueError("repeats must be >= 5")
+    if not 5 <= repeats <= _MAX_REPEATS:
+        raise ValueError(f"repeats must be in [5, {_MAX_REPEATS}], got {repeats}")
+    if not 0 <= warmup <= _MAX_REPEATS:
+        raise ValueError(f"warmup must be in [0, {_MAX_REPEATS}], got {warmup}")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
     report = BenchReport()
     for cfg in configs:
         x, kernel, w_float = _build_workload(cfg, seed)

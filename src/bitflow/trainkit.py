@@ -17,8 +17,10 @@ bit for bit. Each convolution is one 2-D GEMM (:func:`binconv.gemm_rows`)
 over :func:`binconv.im2col` rows of +-1 values padded with -1, so it is
 exact in float32 and agrees with the packed integer engine wherever both
 apply; its input gradient is one 2-D GEMM too and returns through
-``_col2im``, one add per stride cell of taps. The optimizer is momentum SGD
-at fixed per-stage learning rates (module constants) with cosine decay.
+``_col2im``, one add per stride cell of taps. Training-mode batch norm caches
+the centred input; its backward builds the input gradient in that buffer from
+the two sums dgamma and dbeta already hold. The optimizer is momentum SGD at
+fixed per-stage learning rates (module constants) with cosine decay.
 The threshold export runs the float export through ``convert_model``, the
 conversion ``bitflow convert`` uses.
 """
@@ -374,9 +376,11 @@ def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
 
 
 def _bn_forward(bn: BNLayer, x, training: bool):
-    """``gamma * (x - mu) / sigma + beta`` per channel, in place in fresh
-    buffers and in that operation order; training mode uses and caches
-    batch statistics and updates the running ones."""
+    """``gamma * (x - mu) / sigma + beta`` per channel. Eval and frozen mode
+    use the stored statistics in that operation order, in place in one fresh
+    buffer; training mode takes batch statistics (the variance is
+    ``sum(xc * xc) / n`` of the centred input ``xc = x - mu``), updates the
+    running ones, returns ``xc * (gamma / sigma) + beta`` and caches ``xc``."""
     if bn.frozen or not training:
         mu, sigma = bn._stored_stats()
         y = x - mu
@@ -384,39 +388,33 @@ def _bn_forward(bn: BNLayer, x, training: bool):
         y /= sigma
         y += bn.beta
         return y, {"frozen_sigma": sigma} if bn.frozen else None
-    axes = (0, 1, 2)
-    mu = x.mean(axes)
-    xhat = x - mu
-    # x.var(axes) is exactly this: the mean of the squared deviations
-    sq = np.square(xhat)
-    var = sq.mean(axes)
+    mu = x.mean((0, 1, 2))
+    xc = x - mu
+    var = np.einsum("nhwc,nhwc->c", xc, xc) / (x.size // x.shape[3])
     sigma = np.sqrt(var + _BN_EPS)
-    xhat /= sigma
     bn.run_mu += _BN_MOMENTUM * (mu - bn.run_mu)
     bn.run_var += _BN_MOMENTUM * (var - bn.run_var)
-    y = np.multiply(bn.gamma, xhat, out=sq)
+    y = xc * (bn.gamma / sigma)
     y += bn.beta
-    return y, {"xhat": xhat, "sigma": sigma}
+    return y, {"xc": xc, "sigma": sigma}
 
 
 def _bn_backward(bn: BNLayer, cache, dy):
-    """(dx, dgamma, dbeta) of :func:`_bn_forward`, in two full-size buffers."""
+    """(dx, dgamma, dbeta) of :func:`_bn_forward`; ``dy`` is only read. Training
+    mode takes ``dbeta = sum(dy)`` and ``dgamma = sum(dy * xhat)`` and writes
+    ``dx = (gamma / sigma) * (dy - dbeta / n - xhat * dgamma / n)`` into the
+    cached ``xc`` (``xhat = xc / sigma``), which it uses up."""
     if bn.frozen:
         return dy * (bn.gamma / cache["frozen_sigma"]), None, None
-    axes = (0, 1, 2)
-    xhat, sigma = cache["xhat"], cache["sigma"]
-    prod = np.multiply(dy, xhat)
-    dgamma = prod.sum(axes)
-    dbeta = dy.sum(axes)
-    # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma
-    dx = np.multiply(dy, bn.gamma)
-    mean_dxhat = dx.mean(axes)
-    np.multiply(dx, xhat, out=prod)
-    mean_prod = prod.mean(axes)
-    np.multiply(xhat, mean_prod, out=prod)
-    dx -= mean_dxhat
-    dx -= prod
-    dx /= sigma
+    xc, sigma = cache.pop("xc"), cache["sigma"]
+    n = dy.size // dy.shape[3]
+    dbeta = dy.sum((0, 1, 2))
+    dgamma = np.einsum("nhwc,nhwc->c", dy, xc) / sigma
+    dx = xc  # the centred input becomes dx, in place
+    dx *= dgamma / (n * sigma)
+    dx += dbeta / n
+    np.subtract(dy, dx, out=dx)
+    dx *= bn.gamma / sigma
     return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,31 @@ class TestConfigs:
     def test_repeats_floor(self):
         with pytest.raises(ValueError):
             run_bench([tiny_config()], ["i8-fused"], seed=1, repeats=4)
+
+    @pytest.mark.parametrize(
+        "name,bad,good",
+        [
+            ("repeats", 4, 5),
+            ("repeats", benchcli._MAX_REPEATS + 1, benchcli._MAX_REPEATS),
+            ("warmup", -1, 0),
+            ("warmup", benchcli._MAX_REPEATS + 1, benchcli._MAX_REPEATS),
+            ("threads", 0, 1),
+            ("threads", benchcli._MAX_THREADS + 1, benchcli._MAX_THREADS),
+        ],
+        ids=["repeats-floor", "repeats-ceiling", "warmup-floor", "warmup-ceiling",
+             "threads-floor", "threads-ceiling"],
+    )
+    def test_counts_are_bounded_before_any_workload_is_built(
+        self, monkeypatch, name, bad, good
+    ):
+        built = []
+        monkeypatch.setattr(benchcli, "_build_workload", lambda cfg, seed: built.append(cfg))
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match=name):
+            run_bench([tiny_config()], ["i8-fused"], seed=1, **{name: bad})
+        assert built == [] and threading.active_count() == threads_before
+        # the bound itself is accepted; no config, so nothing runs
+        assert run_bench([], ["i8-fused"], seed=1, **{name: good}).rows == []
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -163,6 +189,8 @@ class TestCli:
         record = json.loads(path.read_text())
         assert record["numpy"] == np.__version__
         assert record["cpu_count"] == os.cpu_count()
+        threads = record["blas_threads"]
+        assert threads is None or (type(threads) is int and threads >= 1)
         assert record["argv"] == ["bitflow", *argv]
         assert record["seed"] == 3
         sha = record["git_sha"]
@@ -225,6 +253,18 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             parser.parse_args(["bench", "--seed", "seven"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--threads", "0"), ("--warmup", "-5"), ("--repeats", "100000000000000"),
+         ("--threads", "100000")],
+    )
+    def test_bench_count_out_of_range_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        threads_before = threading.active_count()
+        argv = ["bench", flag, value, "--config", str(_write_cfg(tmp_path))]
+        assert main(argv) == 2
+        assert f"{flag[2:]} must be in" in capsys.readouterr().err
+        assert threading.active_count() == threads_before
 
     def test_bench_unknown_variant(self, tmp_path):
         code = main(["bench", "--variants", "cuda", "--config", str(_write_cfg(tmp_path))])

@@ -332,9 +332,14 @@ class TestExportParity:
 
 # -- numerics of the training step -----------------------------------------
 #
-# The three functions below are trainkit's earlier _col2im, _bn_forward and
-# _bn_backward, kept verbatim: the shipped ones compute in fewer full-size
-# passes and must give the same bytes.
+# _ref_col2im is trainkit's earlier _col2im, kept verbatim: the shipped one
+# computes in fewer full-size passes and must give the same bytes.
+# _ref_bn_forward and _ref_bn_backward state the shipped batch norm's
+# formulas plainly, one expression each, with the same reductions, so a
+# training run through them proves the fused in-place code equals its plain
+# form byte for byte. _xhat_bn_forward and _xhat_bn_backward are the earlier
+# batch norm, kept verbatim: it cached xhat and took four reductions in the
+# backward; the shipped pair must agree with it within float32 rounding.
 
 
 def _ref_col2im(dcols, in_shape, fh, fw, spec):
@@ -359,24 +364,73 @@ def _ref_bn_forward(bn, x, training):
         sigma = np.sqrt(bn.run_var + tk._BN_EPS)
         return bn.gamma * (x - bn.run_mu) / sigma + bn.beta, None
     axes = (0, 1, 2)
+    n = x.size // x.shape[3]
     mu = x.mean(axes)
-    var = x.var(axes)
+    xc = x - mu
+    var = np.einsum("nhwc,nhwc->c", xc, xc) / n
     sigma = np.sqrt(var + tk._BN_EPS)
-    xhat = (x - mu) / sigma
     bn.run_mu += tk._BN_MOMENTUM * (mu - bn.run_mu)
     bn.run_var += tk._BN_MOMENTUM * (var - bn.run_var)
-    return bn.gamma * xhat + bn.beta, {"xhat": xhat, "sigma": sigma}
+    return xc * (bn.gamma / sigma) + bn.beta, {"xc": xc, "sigma": sigma}
 
 
 def _ref_bn_backward(bn, cache, dy):
     if bn.frozen:
         return dy * (bn.gamma / cache["frozen_sigma"]), None, None
     axes = (0, 1, 2)
-    xhat, sigma = cache["xhat"], cache["sigma"]
-    dgamma = (dy * xhat).sum(axes)
+    n = dy.size // dy.shape[3]
+    xc, sigma = cache["xc"], cache["sigma"]
     dbeta = dy.sum(axes)
-    dxhat = dy * bn.gamma
-    dx = (dxhat - dxhat.mean(axes) - xhat * (dxhat * xhat).mean(axes)) / sigma
+    dgamma = np.einsum("nhwc,nhwc->c", dy, xc) / sigma
+    # (gamma / sigma) * (dy - (dbeta / n + xhat * dgamma / n)), xhat = xc / sigma
+    dx = (dy - (xc * (dgamma / (n * sigma)) + dbeta / n)) * (bn.gamma / sigma)
+    return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
+
+
+def _xhat_bn_forward(bn, x, training: bool):
+    """``gamma * (x - mu) / sigma + beta`` per channel, in place in fresh
+    buffers and in that operation order; training mode uses and caches
+    batch statistics and updates the running ones."""
+    if bn.frozen or not training:
+        mu, sigma = bn._stored_stats()
+        y = x - mu
+        np.multiply(bn.gamma, y, out=y)
+        y /= sigma
+        y += bn.beta
+        return y, {"frozen_sigma": sigma} if bn.frozen else None
+    axes = (0, 1, 2)
+    mu = x.mean(axes)
+    xhat = x - mu
+    # x.var(axes) is exactly this: the mean of the squared deviations
+    sq = np.square(xhat)
+    var = sq.mean(axes)
+    sigma = np.sqrt(var + tk._BN_EPS)
+    xhat /= sigma
+    bn.run_mu += tk._BN_MOMENTUM * (mu - bn.run_mu)
+    bn.run_var += tk._BN_MOMENTUM * (var - bn.run_var)
+    y = np.multiply(bn.gamma, xhat, out=sq)
+    y += bn.beta
+    return y, {"xhat": xhat, "sigma": sigma}
+
+
+def _xhat_bn_backward(bn, cache, dy):
+    """(dx, dgamma, dbeta) of :func:`_bn_forward`, in two full-size buffers."""
+    if bn.frozen:
+        return dy * (bn.gamma / cache["frozen_sigma"]), None, None
+    axes = (0, 1, 2)
+    xhat, sigma = cache["xhat"], cache["sigma"]
+    prod = np.multiply(dy, xhat)
+    dgamma = prod.sum(axes)
+    dbeta = dy.sum(axes)
+    # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma
+    dx = np.multiply(dy, bn.gamma)
+    mean_dxhat = dx.mean(axes)
+    np.multiply(dx, xhat, out=prod)
+    mean_prod = prod.mean(axes)
+    np.multiply(xhat, mean_prod, out=prod)
+    dx -= mean_dxhat
+    dx -= prod
+    dx /= sigma
     return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
 
 
@@ -482,6 +536,76 @@ class TestBatchNormGradients:
         assert np.allclose(dgamma, fd_gamma, rtol=1e-5, atol=1e-5)
         assert np.allclose(dbeta, fd_beta, rtol=1e-5, atol=1e-5)
         assert dx[..., 2].any()  # the constant channel still passes gradient
+
+
+# Agreement with the earlier batch norm in float32 (epsilon 1.2e-7): y within
+# 1e-6 of its largest magnitude, dx within 1e-5 of each channel's largest
+# magnitude, and every per-channel sum (dgamma, dbeta, the batch variance)
+# within 1e-4 of the sum of its terms' magnitudes.
+_BN_Y_TOL = 1e-6
+_BN_DX_TOL = 1e-5
+_BN_SUM_TOL = 1e-4
+
+
+class TestBatchNormAgreement:
+    """The shipped batch norm against the earlier xhat-caching pair, one call
+    at the vgg stem's shape, (100, 16, 16, 64) float32."""
+
+    @staticmethod
+    def _operands(mode="training"):
+        rng = np.random.default_rng(47)
+        # the stem's GEMM output over 72 taps: even integers in [-72, 72]
+        x = (2 * rng.integers(-36, 37, size=(100, 16, 16, 64))).astype(np.float32)
+        x[..., 9] = 6.0  # a constant channel: its batch variance is 0
+        dy = (rng.standard_normal(x.shape) * 1e-4).astype(np.float32)
+        bn = tk.BNLayer(
+            gamma=rng.uniform(0.5, 2.0, 64).astype(np.float32),
+            beta=rng.uniform(-1.0, 1.0, 64).astype(np.float32),
+            run_mu=rng.uniform(-4.0, 4.0, 64).astype(np.float32),
+            run_var=rng.uniform(100.0, 900.0, 64).astype(np.float32),
+        )
+        if mode == "frozen":
+            bn.frozen = True
+            bn.frozen_mu = rng.uniform(-4.0, 4.0, 64).astype(np.float32)
+            bn.frozen_sigma = rng.uniform(10.0, 30.0, 64).astype(np.float32)
+        return x, dy, bn
+
+    def test_training_agrees_within_float32_rounding(self):
+        x, dy, bn = self._operands()
+        old, new = copy.deepcopy(bn), copy.deepcopy(bn)
+        y_ref, cache_ref = _xhat_bn_forward(old, x, True)
+        y, cache = tk._bn_forward(new, x, True)
+        assert y.dtype == np.float32
+        assert np.abs(y - y_ref).max() <= _BN_Y_TOL * np.abs(y_ref).max()
+        assert new.run_mu.tobytes() == old.run_mu.tobytes()
+        var_terms = np.square(x.astype(np.float64) - x.mean((0, 1, 2), dtype=np.float64))
+        var_scale = tk._BN_MOMENTUM * var_terms.mean((0, 1, 2))
+        assert (np.abs(new.run_var - old.run_var) <= _BN_SUM_TOL * var_scale).all()
+
+        dx_ref, dgamma_ref, dbeta_ref = _xhat_bn_backward(old, cache_ref, dy)
+        dy_before = dy.copy()
+        dx, dgamma, dbeta = tk._bn_backward(new, cache, dy)
+        assert dy.tobytes() == dy_before.tobytes()
+        assert dx.dtype == dgamma.dtype == dbeta.dtype == np.float32
+        axes = (0, 1, 2)
+        dx_err = np.abs(dx - dx_ref).max(axes)
+        assert (dx_err <= _BN_DX_TOL * np.abs(dx_ref).max(axes)).all()
+        assert dx_ref[..., 9].any()  # the constant channel passes gradient
+        dgamma_scale = np.abs(dy.astype(np.float64) * cache_ref["xhat"]).sum(axes)
+        assert (np.abs(dgamma - dgamma_ref) <= _BN_SUM_TOL * dgamma_scale).all()
+        dbeta_scale = np.abs(dy.astype(np.float64)).sum(axes)
+        assert (np.abs(dbeta - dbeta_ref) <= _BN_SUM_TOL * dbeta_scale).all()
+
+    @pytest.mark.parametrize("mode", ["eval", "frozen"])
+    def test_eval_and_frozen_keep_their_bytes(self, mode):
+        x, dy, bn = self._operands(mode)
+        training = mode == "frozen"  # a frozen layer ignores the batch
+        y_ref, cache_ref = _xhat_bn_forward(copy.deepcopy(bn), x, training)
+        y, cache = tk._bn_forward(bn, x, training)
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        if mode == "frozen":
+            dx_ref = _xhat_bn_backward(bn, cache_ref, dy)[0]
+            assert tk._bn_backward(bn, cache, dy)[0].tobytes() == dx_ref.tobytes()
 
 
 def _state_arrays(state):
