@@ -45,8 +45,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# Ceilings on a bench run's timed calls per variant (repeats, and warmups
-# apart) and on its worker threads; a larger value is a usage error.
+# Largest repeat (and warmup) count and thread count a bench run accepts, so
+# an absurd value is a usage error, not a run that lasts until it is killed.
 _MAX_REPEATS = 10_000
 _MAX_THREADS = 64
 

@@ -338,8 +338,9 @@ class TestExportParity:
 # formulas plainly, one expression each, with the same reductions, so a
 # training run through them proves the fused in-place code equals its plain
 # form byte for byte. _xhat_bn_forward and _xhat_bn_backward are the earlier
-# batch norm, kept verbatim: it cached xhat and took four reductions in the
-# backward; the shipped pair must agree with it within float32 rounding.
+# batch norm, verbatim but for tk. prefixes and a type hint: it cached xhat, took
+# four reductions in the backward, and gave the same bytes as the textbook
+# expressions; the shipped pair must agree with it within float32 rounding.
 
 
 def _ref_col2im(dcols, in_shape, fh, fw, spec):
