@@ -34,7 +34,7 @@ import numpy as np
 
 from . import binconv, bitcore, bnquant, netgraph
 from .binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
-from .bitcore import I8FeatureMap, pack_weights
+from .bitcore import I8FeatureMap, pack_weights, pm1
 
 DEFAULT_SEED = 0xB17F10
 
@@ -208,6 +208,8 @@ def parse_config_file(path) -> list:
                 raise ValueError(f"config stanza {len(configs) + 1}: key {key} repeated")
             stanza[key] = value
     flush()
+    if not configs:
+        raise ValueError(f"{path}: no config stanza")
     return configs
 
 
@@ -226,12 +228,13 @@ def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads:
         return lambda: conv_fused(x, None, kernel, spec, threads=threads)
     if variant == "i32-staged":
         return lambda: staged_conv_i8(x, None, kernel, spec, threads=threads)
-    if variant == "float-reference":
-        signs = np.where(x.values >= 0, 1, -1).astype(np.int8)
-        wi = w_float.astype(np.int8)
-        return lambda: I8FeatureMap(
-            np.clip(conv_float_oracle(signs, wi, spec).values, -127, 127).astype(np.int8)
-        )
+    if variant == "float-reference":  # signs and (K, out) weights built once, untimed
+        signs, wmat = pm1(x.values >= 0), w_float.reshape(cfg.c_out, -1).T.astype(np.float32)
+
+        def dense():
+            f = binconv.gemm_rows(binconv.im2col(signs, cfg.filter, cfg.filter, spec), wmat)
+            return I8FeatureMap(np.clip(f, -127, 127, out=f).astype(np.int8))
+        return dense
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -260,6 +263,8 @@ def run_bench(
         raise ValueError(f"warmup must be in [0, {_MAX_REPEATS}], got {warmup}")
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
+    if not variants or len(set(variants)) < len(variants):
+        raise ValueError(f"variants must be one or more distinct names, got {list(variants)}")
     report = BenchReport()
     for cfg in configs:
         x, kernel, w_float = _build_workload(cfg, seed)
@@ -399,7 +404,7 @@ def threshold_sweep(rng, n_sets: int) -> SweepResult:
         t = bnquant.compute_threshold(p)
         x = I8FeatureMap(np.tile(grid[None, :, None], (1, 1, n)).reshape(1, 255, 1, n))
         got = bitcore.unpack_bits(bnquant.apply_threshold(x, t))
-        ref = np.where(bnquant.bn_float(x.values, p) >= 0, 1, -1).astype(np.int8)
+        ref = pm1(bnquant.bn_float(x.values, p) >= 0)
         if not np.array_equal(got, ref):
             ch = int(np.flatnonzero((got != ref).any(axis=(0, 1, 2)))[0])
             return SweepResult(

@@ -3,7 +3,7 @@
 Packing convention, shared by every module in this package:
 
 * one stored bit per value; bit 1 decodes to +1 and bit 0 to -1
-  (``value = 2*bit - 1``),
+  (``value = 2*bit - 1``, which :func:`pm1` alone encodes, as int8),
 * bits are packed along the channel axis into 64-bit words, channel 0 at
   the least-significant bit of the first word,
 * channels are rounded up to whole words and the unused high bits of the
@@ -138,6 +138,14 @@ class I8FeatureMap:
         return self.values.shape[3]
 
 
+def pm1(bits: np.ndarray) -> np.ndarray:
+    """Int8 ``2*bit - 1``, written over ``bits``, a fresh bool or 0/1 uint8 array."""
+    signs = bits.view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
     """Pack a {0,1} array along its last axis into uint64 words, LSB first.
 
@@ -192,14 +200,12 @@ def pack_weights(w: np.ndarray) -> PackedKernelSet:
 
 def unpack_bits(t: BitPlaneTensor) -> np.ndarray:
     """Decode a packed activation tensor back to an int8 NHWC tensor of +-1."""
-    bits = unpack_bitplanes(t.words, t.channels)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+    return pm1(unpack_bitplanes(t.words, t.channels))
 
 
 def unpack_weights(k: PackedKernelSet) -> np.ndarray:
     """Decode a packed kernel set back to an int8 (out, fh, fw, in) tensor of +-1."""
-    bits = unpack_bitplanes(k.words, k.in_channels)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+    return pm1(unpack_bitplanes(k.words, k.in_channels))
 
 
 def _check_pad_bits(words: np.ndarray, channels: int) -> None:

@@ -315,12 +315,7 @@ def bn_q_forward(x: I8FeatureMap, q: QBNParams) -> I8FeatureMap:
         raise ValueError(f"qbn channels {q.channels} != feature channels {x.channels}")
     f = q.deploy_fmt.frac_bits
     t = q.m_q.astype(np.int32) * x.values.astype(np.int32) + q.c_q.astype(np.int32)
-    if f > 0:
-        half = np.int32(1 << (f - 1))
-        mag = (np.abs(t) + half) >> np.int32(f)
-        y = np.sign(t) * mag
-    else:
-        y = t
+    y = ((np.abs(t) + np.int32((1 << f) >> 1)) >> np.int32(f)) * np.sign(t)  # f = 0: y = t
     return I8FeatureMap(np.clip(y, -127, 127).astype(np.int8))
 
 

@@ -50,6 +50,7 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
+    pm1,
     unpack_weights,
     words_per_pixel,
 )
@@ -225,10 +226,7 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
     if not np.isfinite(x).all():
         raise GraphError("input must be finite")
     block_shapes(model, x.shape)
-    signs = (x >= 0).view(np.int8)
-    signs *= 2
-    signs -= 1
-    h = I8FeatureMap(signs)
+    h = I8FeatureMap(pm1(x >= 0))
     for blk in model.blocks:
         run = run_vgg_block if isinstance(blk, VggBlock) else run_resnet_block
         h = run(h, blk, threads=threads)
@@ -242,25 +240,25 @@ def run_float_reference(model: Model, x: np.ndarray, mode: str | None = None) ->
     add per ``mode`` (vgg | resnet, checked only when a FloatBlock is reached),
     a ``VggBlock`` emits ``x >= tau`` (``x <= tau`` on LE channels) as +-1, and
     a ``ResnetBlock`` applies ``bn_q_forward`` and the saturating shortcut add.
-    A block without batch norm or thresholds emits its clipped int8 map.
+    A block without batch norm or thresholds emits its clipped int8 map; maps
+    and ``pm1`` signs stay int8 between blocks (resnet mode's float sum aside).
     """
-    h = np.where(np.asarray(x) >= 0, 1.0, -1.0)
+    h = pm1(np.asarray(x) >= 0)
     for blk in model.blocks:
         if isinstance(blk, FloatBlock) and mode not in ("vgg", "resnet"):
             raise ValueError(f"unknown mode {mode!r}")
-        a = np.where(h >= 0, 1, -1).astype(np.int8)
-        conv = conv_float_oracle(a, unpack_weights(blk.kernel), blk.spec).values
+        conv = conv_float_oracle(pm1(h >= 0), unpack_weights(blk.kernel), blk.spec).values
         f = np.clip(conv, -127, 127).astype(np.int8)
         if isinstance(blk, ResnetBlock):
             z = bn_q_forward(I8FeatureMap(f), blk.qbn).values.astype(np.int16)
             h = np.clip(z + h, -127, 127).astype(np.int8)
         elif isinstance(blk, VggBlock) and blk.thr is not None:
-            up = np.where(blk.thr.direction == LE, f <= blk.thr.tau, f >= blk.thr.tau)
-            h = np.where(up, 1, -1).astype(np.int8)
+            s = np.where(blk.thr.direction == LE, -1, 1).astype(np.int16)
+            h = pm1(s * (f - blk.thr.tau) >= 0)
         elif isinstance(blk, VggBlock) or blk.bn is None:
             h = f
         elif mode == "vgg":
-            h = np.where(bn_float(f, blk.bn) >= 0, 1.0, -1.0)
+            h = pm1(bn_float(f, blk.bn) >= 0)
         else:
             h = np.clip(bn_float(f, blk.bn) + h, -127, 127)
     return h

@@ -107,6 +107,23 @@ class TestBench:
         report = run_bench([tiny_config()], variants, seed=2, repeats=5, warmup=1)
         assert len(report.rows) == 2
 
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"stride": 2}, {"pad": 0}, {"filter": 1, "pad": 0}, {"c_in": 512}],
+        ids=["same", "stride2", "unpadded", "1x1", "clamped"],
+    )
+    def test_float_reference_runner_times_no_oracle_call(self, monkeypatch, shape):
+        cfg = tiny_config(**shape)
+        x, kernel, w = benchcli._build_workload(cfg, 6)
+        run = benchcli._variant_runner("float-reference", cfg, x, kernel, w, 1)
+
+        def refuse(*_):
+            raise AssertionError("the timed dense call ran the oracle")
+
+        monkeypatch.setattr(benchcli, "conv_float_oracle", refuse)
+        want = benchcli.staged_conv_i8(x, None, kernel, cfg.spec).values
+        assert np.array_equal(run().values, want)
+
     def test_stability_of_seeded_medians(self):
         # identical seeds run identical work; medians agree within timer
         # jitter (5%) whenever the host itself is that quiet. A shared host
@@ -265,6 +282,20 @@ class TestCli:
         assert main(argv) == 2
         assert f"{flag[2:]} must be in" in capsys.readouterr().err
         assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize(
+        "argv,why",
+        [(["--variants", ","], "variants must be one or more distinct names"),
+         (["--variants", "i8-fused,i8-fused"], "variants must be one or more distinct names"),
+         (["--config", os.devnull], "no config stanza")],
+        ids=["no-variant", "repeated-variant", "no-stanza"],
+    )
+    def test_bench_without_distinct_work_is_a_usage_error(self, monkeypatch, capsys, argv, why):
+        built = []
+        monkeypatch.setattr(benchcli, "_build_workload", lambda cfg, seed: built.append(cfg))
+        assert main(["bench", *argv]) == 2
+        assert why in capsys.readouterr().err
+        assert built == []
 
     def test_bench_unknown_variant(self, tmp_path):
         code = main(["bench", "--variants", "cuda", "--config", str(_write_cfg(tmp_path))])

@@ -31,6 +31,15 @@ def match_count(a, b):
     return int(_fold_matches(np.bitwise_not(np.bitwise_xor(a, b))))
 
 
+class TestEncoder:
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_pm1_writes_int8_signs_over_its_input(self, dtype):
+        bits = np.array([[1, 0, 0], [1, 1, 0]], dtype=dtype)
+        signs = bitcore.pm1(bits)
+        assert signs.dtype == np.int8 and np.shares_memory(signs, bits)
+        assert signs.tolist() == [[1, -1, -1], [1, 1, -1]]
+
+
 class TestPacking:
     def test_sign_rule(self):
         x = np.array([0.3, -0.2, 0.0, -0.0], dtype=np.float64).reshape(1, 1, 1, 4)

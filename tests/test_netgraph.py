@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bitflow.netgraph as ng
-from bitflow.binconv import ConvSpec, conv_i8
+from bitflow.binconv import ConvSpec, conv_float_oracle, conv_i8
 from bitflow.bitcore import I8FeatureMap, pack_activations, pack_weights, unpack_bits
 from bitflow.benchcli import random_model
 from bitflow.bnquant import (
@@ -17,6 +17,7 @@ from bitflow.bnquant import (
     BNParams,
     ThresholdParams,
     apply_threshold,
+    bn_float,
     compute_threshold,
     bn_q_error_bounds,
     quantize_bn,
@@ -439,6 +440,16 @@ class TestFloatReference:
         model, _ = convert_model(float_vgg_model(np.random.default_rng(19)), "vgg-threshold")
         x = np.ones((1, 8, 8, 6))
         assert np.array_equal(run_float_reference(model, x, "bogus"), run_model(model, x).values)
+
+    def test_vgg_mode_signs_after_a_last_batch_norm_are_int8(self):
+        rng = np.random.default_rng(21)
+        spec = ConvSpec(spatial_pad=(1, 1))
+        w, p = rng.standard_normal((4, 3, 3, 6)), bn(rng, 4)
+        x = rng.standard_normal((2, 8, 8, 6))
+        got = run_float_reference(Model([FloatBlock(pack_weights(w), spec, p)]), x, "vgg")
+        conv = conv_float_oracle(np.where(x >= 0, 1, -1), np.where(w >= 0, 1, -1), spec).values
+        want = np.where(bn_float(np.clip(conv, -127, 127), p) >= 0, 1, -1)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
     def test_unknown_block_type_is_a_graph_error(self):
         rng = np.random.default_rng(20)
