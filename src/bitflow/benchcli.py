@@ -27,6 +27,7 @@ import subprocess
 import sys
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -88,16 +89,17 @@ class BenchRow:
 @dataclass
 class BenchReport:
     rows: list = field(default_factory=list)
+    blas_threads: int | None = None  # the OpenBLAS thread count the rows ran at
 
     def to_json(self, argv, seed: int) -> str:
         """The rows beside what produced them: git sha, numpy version, CPU
-        count, the loaded OpenBLAS's thread count, the command and the
-        workload seed."""
+        count, the OpenBLAS thread count the variants ran at, the command
+        and the workload seed."""
         record = {
             "git_sha": _git_sha(Path(__file__).resolve().parents[2]),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "blas_threads": _blas_threads(),
+            "blas_threads": self.blas_threads,
             "argv": ["bitflow", *argv],
             "seed": seed,
             "rows": [asdict(r) for r in self.rows],
@@ -126,23 +128,42 @@ def _git_sha(root: Path) -> str | None:
     return found[1] + ("-dirty" if dirty else "")
 
 
-def _blas_threads() -> int | None:
-    """Thread count reported by the OpenBLAS this process loaded, else None
-    (no OpenBLAS found, or no ``/proc/self/maps`` to find it in)."""
+def _openblas():
+    """Thread-count getter and setter of the OpenBLAS this process loaded,
+    else None (no OpenBLAS found, or no ``/proc/self/maps`` to find it in)."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
         for lib in libs:
             dll = ctypes.CDLL(lib)
-            for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                        "openblas_get_num_threads"):
-                fn = getattr(dll, sym, None)
-                if fn is not None:
-                    fn.argtypes, fn.restype = [], ctypes.c_int
-                    return fn()
+            for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
     except OSError:
         pass
     return None
+
+
+@contextmanager
+def _blas_threads_at(n: int):
+    """Run the body with the loaded OpenBLAS at ``n`` threads and yield the
+    count it reports, restoring the previous count after; yield None and
+    change nothing when no OpenBLAS is found."""
+    found = _openblas()
+    if found is None:
+        yield None
+        return
+    get, put = found
+    old = get()
+    put(n)
+    try:
+        yield get()
+    finally:
+        put(old)
 
 
 def default_suite() -> list:
@@ -254,8 +275,9 @@ def run_bench(
     with the staged binarize/pack/convolve/clamp pipeline on one thread; a
     disagreement raises before anything is timed. Then every variant warms
     up, and each repeat times every variant once in turn, so a burst of
-    host load spreads over all of them. Out-of-range counts raise
-    ``ValueError`` before any workload is built.
+    host load spreads over all of them. The loaded OpenBLAS runs at
+    ``threads`` threads meanwhile, and the report records that count.
+    Out-of-range counts raise ``ValueError`` before any workload is built.
     """
     if not 5 <= repeats <= _MAX_REPEATS:
         raise ValueError(f"repeats must be in [5, {_MAX_REPEATS}], got {repeats}")
@@ -265,35 +287,36 @@ def run_bench(
         raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
     if not variants or len(set(variants)) < len(variants):
         raise ValueError(f"variants must be one or more distinct names, got {list(variants)}")
-    report = BenchReport()
-    for cfg in configs:
-        x, kernel, w_float = _build_workload(cfg, seed)
-        runners = [_variant_runner(v, cfg, x, kernel, w_float, threads) for v in variants]
-        want = staged_conv_i8(x, None, kernel, cfg.spec).values
-        for variant, fn in zip(variants, runners):
-            got = fn().values
-            if not np.array_equal(got, want):
-                raise RuntimeError(
-                    f"variant disagreement, no timing: {cfg.name}/{variant}: "
-                    f"{_first_diff(got, want)}"
-                )
-        for fn in runners:
-            for _ in range(warmup):
-                fn()
-        times = [[] for _ in runners]
-        for _ in range(repeats):
-            for fn, samples in zip(runners, times):
-                t0 = time.perf_counter_ns()
-                fn()
-                samples.append((time.perf_counter_ns() - t0) / 1000.0)
-        rows = [
-            BenchRow(cfg.name, v, statistics.median(t), min(t), max(t), None)
-            for v, t in zip(variants, times)
-        ]
-        base = next((r for r in rows if r.variant == BASELINE_VARIANT), rows[0]).median_us
-        for row in rows:
-            row.ratio = base / row.median_us
-        report.rows.extend(rows)
+    with _blas_threads_at(threads) as blas:  # float-reference's GEMMs at `threads`
+        report = BenchReport(blas_threads=blas)
+        for cfg in configs:
+            x, kernel, w_float = _build_workload(cfg, seed)
+            runners = [_variant_runner(v, cfg, x, kernel, w_float, threads) for v in variants]
+            want = staged_conv_i8(x, None, kernel, cfg.spec).values
+            for variant, fn in zip(variants, runners):
+                got = fn().values
+                if not np.array_equal(got, want):
+                    raise RuntimeError(
+                        f"variant disagreement, no timing: {cfg.name}/{variant}: "
+                        f"{_first_diff(got, want)}"
+                    )
+            for fn in runners:
+                for _ in range(warmup):
+                    fn()
+            times = [[] for _ in runners]
+            for _ in range(repeats):
+                for fn, samples in zip(runners, times):
+                    t0 = time.perf_counter_ns()
+                    fn()
+                    samples.append((time.perf_counter_ns() - t0) / 1000.0)
+            rows = [
+                BenchRow(cfg.name, v, statistics.median(t), min(t), max(t), None)
+                for v, t in zip(variants, times)
+            ]
+            base = next((r for r in rows if r.variant == BASELINE_VARIANT), rows[0]).median_us
+            for row in rows:
+                row.ratio = base / row.median_us
+            report.rows.extend(rows)
     return report
 
 

@@ -25,10 +25,11 @@ product training uses.
 
 Both kernels count with ``np.bitwise_count``. The staged kernel counts
 bytes, folds each word's byte counts with one multiply-shift and widens
-every tap to int32. The fused kernel XORs each tap against every filter
-at once, its buffers laid out ``(n, rows, ow, wps, out)``; a one-word
-site is held in the narrowest unsigned word that fits its channels (8,
-16, 32 or 64 bits), so the 8-channel stem XORs bytes. The filter sets its
+every tap to int32. The fused kernel XORs each tap against every filter at
+once in ``(wps, A, B)`` buffers whose inner axis B is the longer of the
+tile's sites (also on a tie) and filters, as numpy pays a fixed cost per
+inner loop. A one-word site is held in the narrowest unsigned word that
+fits its channels, so the 8-channel stem XORs bytes. The filter sets its
 narrow types (:func:`_lane_types`): counts add across taps in uint8 lanes
 when all taps fit, else uint16, and sum over words into an int16
 accumulator when twice the matches fit, else int32. A one-word site that
@@ -169,7 +170,7 @@ def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
 
 def _add_words(acc, lanes, acc_type):
     """``acc`` (None before the first drain) plus the lanes summed over words."""
-    part = lanes.sum(axis=-2, dtype=acc_type)
+    part = lanes.sum(axis=0, dtype=acc_type)
     return part if acc is None else np.add(acc, part, out=acc)
 
 
@@ -180,19 +181,25 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow, lane, acc_type) -> np.ndarr
     a lane-wise add. The lanes drain into ``acc_type`` by a word-axis sum
     before a tap would overflow them (every ``iinfo(lane).max // lane_bits``
     taps) and at the end, except that a one-word site that never drained
-    mid-loop returns its lanes themselves, with no sum.
-    Kernel words are ``(fh, fw, wps, out)`` and every buffer
-    ``(n, oh, ow, wps, out)``, so each ufunc's inner loop spans all filters.
+    mid-loop returns its lanes themselves, with no sum. ``buf`` is
+    ``(wps, n, rows, w)``, kernel words ``(fh, fw, wps, out)``; each tap
+    copies its slab into one ``(wps, sites)`` block, and every buffer is
+    ``(wps, out, sites)`` when sites are at least as many as filters, else
+    ``(wps, sites, out)``. Returns ``(n, oh, ow, out)``, transposed if so.
     ``buf`` and ``kinv`` share one unsigned word type of any width; the
     counts include its channel-pad matches, which the caller's bias removes.
     """
-    n = buf.shape[0]
-    wps, out = kinv.shape[2:]
-    shape5 = (n, oh, ow, wps, out)
+    wps, n = buf.shape[:2]
+    out, sites = kinv.shape[-1], n * oh * ow
+    block = np.empty((wps, n, oh, ow), dtype=buf.dtype)
+    if sites >= out:
+        x, kin, shape = block.reshape(wps, 1, sites), kinv[..., None], (wps, out, sites)
+    else:
+        x, kin, shape = block.reshape(wps, sites, 1), kinv[..., None, :], (wps, sites, out)
     drain_taps = np.iinfo(lane).max // (8 * buf.itemsize)
-    xbuf = np.empty(shape5, dtype=buf.dtype)
-    counts = np.empty(shape5, dtype=np.uint8)
-    lanes = np.zeros(shape5, dtype=lane)
+    xbuf = np.empty(shape, dtype=buf.dtype)
+    counts = np.empty(shape, dtype=np.uint8)
+    lanes = np.zeros(shape, dtype=lane)
     acc = None
     pending = 0
     for i in range(fh):
@@ -201,16 +208,17 @@ def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow, lane, acc_type) -> np.ndarr
                 acc = _add_words(acc, lanes, acc_type)
                 lanes.fill(0)
                 pending = 0
-            slab = buf[
-                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
+            block[...] = buf[
+                :, :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw
             ]
-            np.bitwise_xor(slab[:, :, :, :, None], kinv[i, j], out=xbuf)
+            np.bitwise_xor(x, kin[i, j], out=xbuf)
             np.bitwise_count(xbuf, out=counts)
             lanes += counts
             pending += 1
-    if acc is None and wps == 1:
-        return lanes[:, :, :, 0]
-    return _add_words(acc, lanes, acc_type)
+    acc = lanes[0] if acc is None and wps == 1 else _add_words(acc, lanes, acc_type)
+    if sites >= out:
+        return acc.reshape(out, n, oh, ow).transpose(1, 2, 3, 0)
+    return acc.reshape(n, oh, ow, out)
 
 
 def _run_row_spans(oh: int, span_rows: int, threads: int, work) -> None:
@@ -333,22 +341,23 @@ def conv_fused(
 
     def run_tile(y0, y1):
         r0, r1 = y0 * sh, (y1 - 1) * sh + fh  # padded input row range
-        buf = np.zeros((n, r1 - r0, w + 2 * pw, wps), dtype=word)
+        buf = np.zeros((wps, n, r1 - r0, w + 2 * pw), dtype=word)
         lo, hi = max(r0, ph), min(r1, ph + h)
         if hi > lo:
             rows = x_prev.values[:, lo - ph : hi - ph, :, :]
             bits = (rows >= 0) if thr is None else threshold_bits(rows, thr)
             # narrowing drops only zero channel-pad bits
-            buf[:, lo - r0 : hi - r0, pw : pw + w, :] = pack_bitplanes(bits)
+            buf[:, :, lo - r0 : hi - r0, pw : pw + w] = pack_bitplanes(bits).transpose(3, 0, 1, 2)
         acc = _tile_matches(buf, kinv, fh, fw, sh, sw, y1 - y0, ow, lane, acc_type)
+        # in the lanes' memory order, then one (maybe transposed) copy out
+        y = acc.astype(np.uint8 if wrap else acc_type, copy=False)
+        y *= 2
         if wrap:
-            y = np.multiply(acc, 2, out=result[:, y0:y1].view(np.uint8), casting="unsafe")
             y -= np.uint8(bias & 0xFF)
         else:
-            y = np.multiply(acc, 2, out=acc if acc.dtype == acc_type else None, dtype=acc_type)
             y -= bias
             np.clip(y, I8_MIN, I8_MAX, out=y)
-            result[:, y0:y1] = y
+        result[:, y0:y1] = y.view(np.int8) if wrap else y  # a cast-free copy when it wraps
 
     _run_row_spans(oh, tile_rows, threads, run_tile)
     return I8FeatureMap(result)

@@ -220,6 +220,29 @@ class TestCli:
             assert list(r) == ["config", "variant", "median_us", "min_us", "max_us", "ratio"]
             assert 0 < r["min_us"] <= r["median_us"] <= r["max_us"]
 
+    def test_bench_runs_blas_at_the_thread_count_then_restores_it(self, tmp_path, monkeypatch):
+        found = benchcli._openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS in this process")
+        get = found[0]
+        old = get()
+        want = 1 if old != 1 else 2
+        seen = []
+        real = binconv.gemm_rows
+        monkeypatch.setattr(binconv, "gemm_rows", lambda *a: seen.append(get()) or real(*a))
+        path = tmp_path / "out.json"
+        argv = ["bench", "--repeats", "5", "--warmup", "0", "--threads", str(want),
+                "--variants", "float-reference", "--json", str(path),
+                "--config", str(_write_cfg(tmp_path))]
+        assert main(argv) == 0
+        assert len(seen) == 6 and set(seen) == {want}  # agreement check + 5 timed calls
+        assert get() == old
+        assert json.loads(path.read_text())["blas_threads"] == want
+        # a run that stops on a disagreement restores the count too
+        monkeypatch.setattr(binconv, "gemm_rows", lambda *a: -real(*a))
+        assert main(argv) == 1
+        assert get() == old
+
     def test_git_sha_marks_a_changed_tree(self, tmp_path):
         def git(*cmd):
             subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",

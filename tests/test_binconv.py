@@ -521,17 +521,19 @@ class TestConvFused:
     @pytest.mark.parametrize("tile_rows", [1, None])
     def test_more_taps_than_one_lane_drain(self, tile_rows):
         # a 1x1100 filter over 64 channels: 70,400 matches per site overflow
-        # a uint16 lane unless it drains every 1023 taps
-        x = I8FeatureMap(np.ones((1, 1, 1100, 64), dtype=np.int8))
+        # a uint16 lane unless it drains every 1023 taps; one site against
+        # two filters keeps filters innermost, three sites put sites there
         w = np.ones((2, 1, 1100, 64), dtype=np.int8)
         k = pack_weights(w)
         spec = ConvSpec()
         always = ThresholdParams(np.full(64, -3, dtype=np.int16), np.zeros(64, dtype=np.uint8))
-        for thr in (None, always):
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
-            assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
-            assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
-            assert (fused == 127).all()
+        for n in (1, 3):
+            x = I8FeatureMap(np.ones((n, 1, 1100, 64), dtype=np.int8))
+            for thr in (None, always):
+                fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+                assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
+                assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
+                assert (fused == 127).all()
 
     @pytest.mark.parametrize(
         "fh,fw,cin,lane,acc",
@@ -567,16 +569,19 @@ class TestConvFused:
     @pytest.mark.parametrize("tile_rows", [1, None])
     @pytest.mark.parametrize("fh,fw,cin", TYPE_BOUNDARIES)
     def test_type_boundaries_match_staged_and_oracle(self, fh, fw, cin, tile_rows):
+        # 3 filters are fewer than any tile's sites; 40 are more than one
+        # row's and tie with a whole 5x4 map's (both filter sides over 1)
         rng = np.random.default_rng(fh * 1000 + fw * 10 + cin)
         vals = rng.integers(-127, 128, size=(2, fh + 2, fw + 1, cin)).astype(np.int8)
         x = I8FeatureMap(vals)
-        w = rng.choice([-1, 1], size=(3, fh, fw, cin)).astype(np.int8)
-        k = pack_weights(w)
         spec = ConvSpec(spatial_pad=(min(1, fh - 1), min(1, fw - 1)))
-        for thr in (None, self._random_threshold(rng, cin)):
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
-            assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
-            assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
+        for out in (3, 40):
+            w = rng.choice([-1, 1], size=(out, fh, fw, cin)).astype(np.int8)
+            k = pack_weights(w)
+            for thr in (None, self._random_threshold(rng, cin)):
+                fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+                assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
+                assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
 
     @pytest.mark.parametrize("tile_rows", [1, None])
     @pytest.mark.parametrize("fh,fw,cin", TYPE_BOUNDARIES)
@@ -595,10 +600,13 @@ class TestConvFused:
     @pytest.mark.parametrize("tile_rows", [1, None])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("cin", [8, 128, 300])
-    @pytest.mark.parametrize("out", [1, 3, 65, 257])
+    @pytest.mark.parametrize("out", [1, 3, 10, 16, 64, 65, 257])
     def test_output_channels_match_staged_and_oracle(self, out, cin, threads, tile_rows):
         # 1, 2 and 5 words per site; non-square filters, so a kernel laid
-        # out with fh and fw swapped cannot pass on symmetric taps
+        # out with fh and fw swapped cannot pass on symmetric taps. A tile
+        # of the first filter holds 16 sites per row and 64 in all, of the
+        # second 10 and 70, so 10, 16 and 64 filters tie with a tile's
+        # sites, where a transposition the wrong way would show
         rng = np.random.default_rng(out * 1000 + cin)
         vals = rng.integers(-127, 128, size=(2, 7, 8, cin)).astype(np.int8)
         x = I8FeatureMap(vals)
