@@ -140,9 +140,15 @@ class QBNParams:
 
 def bn_float(x, p: BNParams):
     """Real-valued batch norm gamma*(x - mu)/sigma + beta; ``x`` is
-    (..., channels) and the parameters broadcast along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    return p.gamma * (x - p.mu) / p.sigma + p.beta
+    (..., channels) and the parameters broadcast along the last axis. It
+    runs in that operation order in one float64 buffer of the broadcast
+    shape, so an 8-bit ``x`` is never copied to float64 first."""
+    y = np.empty(np.broadcast_shapes(np.shape(x), p.mu.shape), np.float64)
+    np.subtract(x, p.mu, out=y, dtype=np.float64)
+    np.multiply(p.gamma, y, out=y)
+    y /= p.sigma
+    y += p.beta
+    return y
 
 
 def compute_threshold(p: BNParams) -> ThresholdParams:

@@ -14,15 +14,15 @@ inject the quantization noise, freeze, retrain the rest).
 
 Everything is seeded and single-worker: one seed reproduces loss curves
 bit for bit. Each convolution is one 2-D GEMM (:func:`binconv.gemm_rows`)
-over :func:`binconv.im2col` rows of +-1 values padded with -1, so it is
-exact in float32 and agrees with the packed integer engine wherever both
-apply; its input gradient is one 2-D GEMM too and returns through
-``_col2im``, one add per stride cell of taps. Training-mode batch norm caches
-the centred input; its backward builds the input gradient in that buffer from
-the two sums dgamma and dbeta already hold. The optimizer is momentum SGD at
-fixed per-stage learning rates (module constants) with cosine decay.
-The threshold export runs the float export through ``convert_model``, the
-conversion ``bitflow convert`` uses.
+over :func:`binconv.im2col` rows of +-1 values padded with -1, exact in
+float32 and equal to the packed engine's sums; its input gradient is one
+2-D GEMM returning through ``_col2im``, one add per stride cell of taps.
+Each full-size map has one owner, and the next map is written into it: the
+clip and batch norm into the GEMM output, a vgg block's sign into the previous
+block's output, batch norm's input gradient (from dgamma and dbeta) into its
+cached centred input, and the clip mask's product into that gradient. The
+optimizer is momentum SGD at fixed per-stage learning rates with cosine
+decay. The threshold export is the float export through ``convert_model``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ _LR_STAGE1 = 0.02
 _LR_STAGE2 = 0.012
 _EVAL_BATCH = 200
 _FD_STEP = 1e-4  # grad_check's central-difference step
+_CLIP_FREE_TAPS = 127  # a sum of K +-1 products has |f| <= K: K <= 127 never clips
 
 STAGE_WARMUP = "warmup"
 STAGE_CLIPPED = "clipped"
@@ -71,10 +72,16 @@ def ste_sign(x):
     boundaries included.
     """
     x = np.asarray(x)
-    values = (x >= 0).astype(np.float32)
-    values *= 2
-    values -= 1
-    return values, _window_mask(x, 1.0)
+    return _sign(x), _window_mask(x, 1.0)
+
+
+def _sign(x, out=None):
+    """Float32 ``2 * (x >= 0) - 1`` in ``out`` (which may be ``x``), else fresh."""
+    out = np.empty(x.shape, np.float32) if out is None else out
+    np.greater_equal(x, 0, out=out)
+    out *= 2
+    out -= 1
+    return out
 
 
 def clip_i8_surrogate(x):
@@ -99,10 +106,10 @@ _KINK_BANDS = {"sign": (0.99, 1.01), "clip": (126.0, 128.0)}
 def grad_check(op: str, points) -> dict:
     """Central finite differences of a surrogate forward vs its mask.
 
-    The forward and the mask come from ``ste_sign`` and
-    ``clip_i8_surrogate``, the ops ``_forward`` trains with. Points inside
-    the kink band around the clamp corners are skipped; the report carries
-    the worst absolute error over the rest.
+    The forward and the mask come from ``ste_sign`` and ``clip_i8_surrogate``,
+    made of the ops ``_forward`` trains with. Points inside the kink band
+    around the clamp corners are skipped; the report carries the worst
+    absolute error over the rest.
     """
     if op not in _KINK_BANDS:
         raise ValueError(f"unknown surrogate {op!r}")
@@ -204,6 +211,8 @@ def make_toy_task(
     """Build the deterministic toy classification task from one seed."""
     if variant not in ("vgg", "resnet"):
         raise ValueError(f"unknown variant {variant!r}")
+    if min(n_train, n_val, batch_size) < 1 or not 0.0 <= noise < math.inf:
+        raise ValueError("n_train, n_val, batch_size must be >= 1 and noise finite, >= 0")
     if widths is None:
         widths = (64, 64, 32) if variant == "vgg" else (8, 8, 8)
     rng = np.random.default_rng(np.uint64(seed))
@@ -375,15 +384,16 @@ def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
-def _bn_forward(bn: BNLayer, x, training: bool):
-    """``gamma * (x - mu) / sigma + beta`` per channel. Eval and frozen mode
-    use the stored statistics in that operation order, in place in one fresh
-    buffer; training mode takes batch statistics (the variance is
-    ``sum(xc * xc) / n`` of the centred input ``xc = x - mu``), updates the
-    running ones, returns ``xc * (gamma / sigma) + beta`` and caches ``xc``."""
+def _bn_forward(bn: BNLayer, x, training: bool, out=None):
+    """``gamma * (x - mu) / sigma + beta`` per channel into ``out`` (which may
+    be ``x``), else a fresh buffer. Eval and frozen mode use the stored
+    statistics in that operation order, in place; training mode takes batch
+    statistics (the variance is ``sum(xc * xc) / n`` of the centred input
+    ``xc = x - mu``, a buffer of its own), updates the running ones, returns
+    ``xc * (gamma / sigma) + beta`` and caches ``xc``."""
     if bn.frozen or not training:
         mu, sigma = bn._stored_stats()
-        y = x - mu
+        y = np.subtract(x, mu, out=out)
         np.multiply(bn.gamma, y, out=y)
         y /= sigma
         y += bn.beta
@@ -394,7 +404,7 @@ def _bn_forward(bn: BNLayer, x, training: bool):
     sigma = np.sqrt(var + _BN_EPS)
     bn.run_mu += _BN_MOMENTUM * (mu - bn.run_mu)
     bn.run_var += _BN_MOMENTUM * (var - bn.run_var)
-    y = xc * (bn.gamma / sigma)
+    y = np.multiply(xc, bn.gamma / sigma, out=out)
     y += bn.beta
     return y, {"xc": xc, "sigma": sigma}
 
@@ -419,22 +429,27 @@ def _bn_backward(bn: BNLayer, cache, dy):
 
 
 def _forward(state: TrainState, x, training: bool):
-    """Run the block stack; returns (trunk, head input, logits, caches)."""
+    """Run the block stack; returns (trunk, head input, logits, caches). Only
+    the caller's batch and residual inputs (the shortcut reads them) are signed
+    into fresh buffers; eval forms no masks; blocks of <= 127 taps skip the clip."""
     clip_on = state.stage != STAGE_WARMUP
     resnet = state.variant == "resnet"
-    h = ste_sign(x)[0] if resnet else x
+    h = ste_sign(x)[0] if resnet else np.asarray(x)
     caches = []
-    for blk in state.blocks:
-        a, amask = ste_sign(h)
-        wb, wmask = ste_sign(blk.weight)
+    for bi, blk in enumerate(state.blocks):
+        amask = _window_mask(h, 1.0) if training else None
+        a = _sign(h, h if bi and not resnet else None)
+        wb = _sign(blk.weight)
+        wmask = _window_mask(blk.weight, 1.0) if training else None
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
         cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
         f = gemm_rows(cols, wmat)
-        cmask = _window_mask(f, 127.0) if clip_on else None
-        if clip_on:
-            np.clip(f, -127.0, 127.0, out=f)  # f is fresh and cached nowhere
+        clip = clip_on and wmat.shape[0] > _CLIP_FREE_TAPS
+        cmask = _window_mask(f, 127.0) if clip and training else None
+        if clip:
+            np.clip(f, -127.0, 127.0, out=f)
         if blk.bn is not None:
-            y, bncache = _bn_forward(blk.bn, f, training)
+            y, bncache = _bn_forward(blk.bn, f, training, out=f)
         else:
             y, bncache = f, None
         zmask = omask = None
@@ -449,7 +464,7 @@ def _forward(state: TrainState, x, training: bool):
             out = y
         caches.append(
             {
-                "h_in": h,
+                "in_shape": h.shape,
                 "amask": amask,
                 "wmask": wmask,
                 "wmat": wmat,
@@ -503,7 +518,7 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
                 grads.append((("bn_beta", bi), blk.bn.beta, dbeta))
         else:
             dfc = dy
-        df = dfc * cache["cmask"] if cache["cmask"] is not None else dfc
+        df = dfc if cache["cmask"] is None else np.multiply(dfc, cache["cmask"], out=dfc)
         k = cache["wmat"].shape[0]
         o = blk.weight.shape[0]
         dwmat = cache["cols"].reshape(-1, k).T @ df.reshape(-1, o)
@@ -512,7 +527,7 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         if bi > 0 or resnet:
             dcols = gemm_rows(df, cache["wmat"].T)
             fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-            dh = _col2im(dcols, cache["h_in"].shape, fh, fw, blk.spec)
+            dh = _col2im(dcols, cache["in_shape"], fh, fw, blk.spec)
             dh *= cache["amask"]
             if resnet:
                 dh += dshort

@@ -1,6 +1,7 @@
 """Tests for surrogate ops, the toy task, and the two-stage trainer."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ class TestToyTask:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             make_toy_task(variant="transformer")
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("n_train", 0),
+            ("n_val", 0),
+            ("batch_size", 0),
+            ("batch_size", -5),
+            ("n_train", -3),
+            ("noise", -0.5),
+            ("noise", float("nan")),
+            ("noise", float("inf")),
+        ],
+    )
+    def test_degenerate_sizes_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match="n_train, n_val, batch_size"):
+            make_toy_task(**{name: value})
 
 
 class TestTraining:
@@ -357,7 +375,7 @@ def _ref_col2im(dcols, in_shape, fh, fw, spec):
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
-def _ref_bn_forward(bn, x, training):
+def _ref_bn_forward(bn, x, training, out=None):
     if bn.frozen:
         y = bn.gamma * (x - bn.frozen_mu) / bn.frozen_sigma + bn.beta
         return y, {"frozen_sigma": bn.frozen_sigma}
@@ -673,3 +691,59 @@ class TestTrainingBitIdentity:
             self._use_references(m)
             reference = run(task)
         self._assert_same(shipped, reference)
+
+
+class TestBufferOwnership:
+    """The training step writes over a full-size map only where nothing else
+    reads it, and the clip it skips could not have bitten."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+    @pytest.mark.parametrize("variant", ["vgg", "resnet"])
+    def test_forward_leaves_its_batch_unchanged(self, variant, training):
+        task = small_vgg_task() if variant == "vgg" else small_resnet_task()
+        state = tk.init_state(task)
+        state.stage = tk.STAGE_CLIPPED
+        batch = task.train_images[:50].copy()
+        tk._forward(state, batch, training)
+        assert batch.tobytes() == task.train_images[:50].tobytes()
+
+    def test_evaluate_repeats_and_keeps_the_images(self):
+        task = small_vgg_task()
+        images = task.images.copy()
+        state = train_stage1(task, epochs=1)  # evaluates the val split too
+        first = evaluate(state, task, "val")
+        assert evaluate(state, task, "val") == first
+        assert task.images.tobytes() == images.tobytes()
+
+    def test_clip_forced_on_every_block_changes_no_byte(self, monkeypatch):
+        # block 1 reads 8 * 8 * 2 = 128 taps; a large stem beta makes every
+        # input sign +1 and non-negative weights make every weight sign +1,
+        # so its sums are 128, one past the clip
+        task = small_vgg_task(widths=(2, 8, 8), n_train=200, n_val=100)
+        s1 = train_stage1(task, epochs=1)
+        s1.blocks[0].bn.beta[:] = 50.0
+        np.abs(s1.blocks[1].weight, out=s1.blocks[1].weight)
+        probe = s1.clone()
+        probe.stage = tk.STAGE_CLIPPED
+        caches = tk._forward(probe, task.train_images[:50], True)[3]
+        assert not caches[1]["cmask"].any()
+        shipped = train_stage2(s1, task, epochs=1)
+        monkeypatch.setattr(tk, "_CLIP_FREE_TAPS", 0)
+        forced = train_stage2(s1, task, epochs=1)
+        TestTrainingBitIdentity._assert_same(shipped, forced)
+
+    def test_training_peak_stays_under_the_bound(self):
+        # the two stages of perfbench's train-toy cycle (200 training and 100
+        # validation images at batch 100), where each float32 map of the stem
+        # is 6.25 MiB: a fresh buffer per map traces 75.3 MiB, one owner per
+        # map 52.8 MiB
+        task = make_toy_task(seed=4747, n_train=200, n_val=100)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_stage2(train_stage1(task, epochs=1), task, epochs=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
