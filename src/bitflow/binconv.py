@@ -382,35 +382,47 @@ def staged_conv_i8(
     return conv_i8(packed, k, spec, threads)
 
 
-def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec) -> np.ndarray:
-    """Receptive fields of an NHWC tensor as a fresh (n, oh, ow, fh*fw*c)
-    float32 array of rows padded with -1, taps in the (i, j, channel) order
-    of a kernel: one copy of a strided ``sliding_window_view`` of the input,
-    padded first only when the spec pads."""
+def _rows_out(out, shape, dtype) -> np.ndarray:
+    """``out``, checked to take a row-major write of ``shape``, else a fresh array."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
+    return out
+
+
+def im2col(a: np.ndarray, fh: int, fw: int, spec: ConvSpec, out=None) -> np.ndarray:
+    """Receptive fields of an NHWC tensor as (n, oh, ow, fh*fw*c) float32 rows
+    padded with -1, taps in the (i, j, channel) order of a kernel: one copy of
+    a strided ``sliding_window_view`` of the input, padded first only when the
+    spec pads, into ``out`` (C-contiguous float32 of the rows' shape) or a
+    fresh array."""
     n, h, w, c = a.shape
     _, oh, ow, _ = output_shape(a.shape, (1, fh, fw, c), spec)
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     if ph == pw == 0:
-        ap = a.astype(np.float32, copy=False)
+        ap = a
     else:
         ap = np.full((n, h + 2 * ph, w + 2 * pw, c), float(PAD_VALUE), dtype=np.float32)
         ap[:, ph : ph + h, pw : pw + w, :] = a
     win = sliding_window_view(ap, (fh, fw), axis=(1, 2))
-    win = win[:, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, fh * fw * c)
-    # rows that are runs of whole pixels (a 1x1 or full-width filter)
-    # reshape to a read-only view
-    return cols.copy() if np.may_share_memory(cols, ap) else cols
+    win = win[:, : (oh - 1) * sh + 1 : sh, : (ow - 1) * sw + 1 : sw].transpose(0, 1, 2, 4, 5, 3)
+    out = _rows_out(out, (n, oh, ow, fh * fw * c), np.float32)
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
-def gemm_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``rows @ mat`` for rows with any leading axes, as one 2-D BLAS GEMM;
-    a stacked ``@`` would run one small GEMM per leading slice. Over +-1
-    operands every sum is exact; over float ones the BLAS kernel may round
-    differently from the stacked product (the tests pin training's shapes)."""
-    flat = rows.reshape(-1, rows.shape[-1]) @ mat
-    return flat.reshape(*rows.shape[:-1], mat.shape[-1])
+def gemm_rows(rows: np.ndarray, mat: np.ndarray, out=None) -> np.ndarray:
+    """``rows @ mat`` for rows with any leading axes, as one 2-D BLAS GEMM
+    into ``out`` (C-contiguous, of the product's shape and dtype) or a fresh
+    array; a stacked ``@`` would run one small GEMM per leading slice. Over
+    +-1 operands every sum is exact; over float ones the BLAS kernel may
+    round differently from the stacked product (the tests pin training's
+    shapes)."""
+    out = _rows_out(out, (*rows.shape[:-1], mat.shape[-1]), np.result_type(rows, mat))
+    np.matmul(rows.reshape(-1, rows.shape[-1]), mat, out=out.reshape(-1, mat.shape[-1]))
+    return out
 
 
 def conv_float_oracle(a: np.ndarray, w: np.ndarray, spec: ConvSpec) -> I32FeatureMap:

@@ -20,9 +20,14 @@ float32 and equal to the packed engine's sums; its input gradient is one
 Each full-size map has one owner, and the next map is written into it: the
 clip and batch norm into the GEMM output, a vgg block's sign into the previous
 block's output, batch norm's input gradient (from dgamma and dbeta) into its
-cached centred input, and the clip mask's product into that gradient. The
-optimizer is momentum SGD at fixed per-stage learning rates with cosine
-decay. The threshold export is the float export through ``convert_model``.
+cached centred input, the clip mask's product into that gradient, a block's
+input-gradient rows into its im2col rows, and their sum into its signed input
+where the windows cover the input exactly (no padding, no gap).
+Within an epoch each step writes into the previous step's buffers of the same
+shape and dtype (:class:`_StepBuffers`), allocating only when the batch size
+changes; they die with the epoch, before its validation pass. The optimizer
+is momentum SGD at fixed per-stage learning rates with cosine decay. The
+threshold export is the float export through ``convert_model``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binconv import ConvSpec, gemm_rows, im2col
+from .binconv import ConvSpec, gemm_rows, im2col, output_shape
 from .bitcore import pack_weights
 from .bnquant import BNParams, QBNParams, quantize_bn
 from .netgraph import FloatBlock, Model, ResnetBlock, convert_model, run_float_reference
@@ -58,9 +63,12 @@ STAGE_QUANTIZED = "quantized"
 # -- surrogate ops -----------------------------------------------------------
 
 
-def _window_mask(x, t):
-    """uint8 view of ``-t <= x <= t``, from two compares (no float temporary)."""
-    return ((x >= -t) & (x <= t)).view(np.uint8)
+def _window_mask(x, t, out=None):
+    """uint8 view of ``-t <= x <= t`` in ``out`` (uint8) or a fresh buffer,
+    from two compares (no float temporary)."""
+    mask = np.greater_equal(x, -t, out=None if out is None else out.view(bool))
+    mask &= x <= t
+    return mask.view(np.uint8)
 
 
 def ste_sign(x):
@@ -359,22 +367,27 @@ def init_state(task: ToyTask) -> TrainState:
 # -- conv plumbing -----------------------------------------------------------
 
 
-def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
+def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec, out=None):
     """Adjoint of :func:`binconv.im2col`: add row gradients back onto the
     input positions they were read from (padding is dropped). Tap i of output
     row y reads padded row ``(y + i // sh) * sh + i % sh``, so the taps of one
     stride cell ``(i // sh, j // sw)`` take one add onto a grid view of zeros
     (one in all when stride >= filter, one per tap at stride 1). Positions
-    get their taps in (i, j) order, so a -0.0 gradient lands as +0.0."""
+    get their taps in (i, j) order, so a -0.0 gradient lands as +0.0. The
+    zeros are ``out`` (float32, of the input's shape) when the grid is the
+    input itself (no padding, no gap), else a fresh array."""
     n, h, w, c = in_shape
     _, oh, ow, _ = dcols.shape
     (sh, sw), (ph, pw) = spec.stride, spec.spatial_pad
     taps = dcols.reshape(n, oh, ow, fh, fw, c).transpose(0, 1, 3, 2, 4, 5)
     hq, wq = oh + (fh - 1) // sh, ow + (fw - 1) // sw
     # the grid may reach past the padded input where the stride leaves a gap
-    dap = np.zeros(
-        (n, max(h + 2 * ph, hq * sh), max(w + 2 * pw, wq * sw), c), dtype=np.float32
-    )
+    shape = (n, max(h + 2 * ph, hq * sh), max(w + 2 * pw, wq * sw), c)
+    if out is not None and out.shape == shape:
+        dap = out
+        dap.fill(0.0)
+    else:
+        dap = np.zeros(shape, dtype=np.float32)
     grid = dap[:, : hq * sh, : wq * sw].reshape(n, hq, sh, wq, sw, c)
     for i in range(0, fh, sh):
         for j in range(0, fw, sw):
@@ -384,13 +397,14 @@ def _col2im(dcols, in_shape, fh, fw, spec: ConvSpec):
     return dap[:, ph : ph + h, pw : pw + w, :]
 
 
-def _bn_forward(bn: BNLayer, x, training: bool, out=None):
+def _bn_forward(bn: BNLayer, x, training: bool, out=None, xc=None):
     """``gamma * (x - mu) / sigma + beta`` per channel into ``out`` (which may
     be ``x``), else a fresh buffer. Eval and frozen mode use the stored
     statistics in that operation order, in place; training mode takes batch
     statistics (the variance is ``sum(xc * xc) / n`` of the centred input
-    ``xc = x - mu``, a buffer of its own), updates the running ones, returns
-    ``xc * (gamma / sigma) + beta`` and caches ``xc``."""
+    ``xc = x - mu``, written into the buffer ``xc`` or a fresh one), updates
+    the running ones, returns ``xc * (gamma / sigma) + beta`` and caches
+    ``xc``."""
     if bn.frozen or not training:
         mu, sigma = bn._stored_stats()
         y = np.subtract(x, mu, out=out)
@@ -399,7 +413,7 @@ def _bn_forward(bn: BNLayer, x, training: bool, out=None):
         y += bn.beta
         return y, {"frozen_sigma": sigma} if bn.frozen else None
     mu = x.mean((0, 1, 2))
-    xc = x - mu
+    xc = np.subtract(x, mu, out=xc)
     var = np.einsum("nhwc,nhwc->c", xc, xc) / (x.size // x.shape[3])
     sigma = np.sqrt(var + _BN_EPS)
     bn.run_mu += _BN_MOMENTUM * (mu - bn.run_mu)
@@ -428,54 +442,60 @@ def _bn_backward(bn: BNLayer, cache, dy):
     return dx, dgamma.astype(np.float32), dbeta.astype(np.float32)
 
 
-def _forward(state: TrainState, x, training: bool):
-    """Run the block stack; returns (trunk, head input, logits, caches). Only
-    the caller's batch and residual inputs (the shortcut reads them) are signed
-    into fresh buffers; eval forms no masks; blocks of <= 127 taps skip the clip."""
+def _forward(state: TrainState, x, training: bool, take=np.empty):
+    """Run the block stack; returns (trunk, head input, logits, caches). Each
+    full-size buffer comes from ``take(shape, dtype)``, except a vgg block's
+    signed input past the first, which is the previous block's output signed
+    in place (the caller's batch and the residual inputs, which the shortcut
+    reads, are signed into buffers of their own). Eval forms no masks and
+    keeps no caches, and blocks of <= 127 taps skip the clip."""
     clip_on = state.stage != STAGE_WARMUP
     resnet = state.variant == "resnet"
-    h = ste_sign(x)[0] if resnet else np.asarray(x)
+
+    def clip(v):
+        """Clamp ``v`` in place; the clip's mask when training."""
+        mask = _window_mask(v, 127.0, take(v.shape, np.uint8)) if training else None
+        np.clip(v, -127.0, 127.0, out=v)
+        return mask
+
+    h = _sign(x, take(x.shape, np.float32)) if resnet else np.asarray(x)
     caches = []
     for bi, blk in enumerate(state.blocks):
-        amask = _window_mask(h, 1.0) if training else None
-        a = _sign(h, h if bi and not resnet else None)
+        # block 0 takes no input gradient
+        amask = _window_mask(h, 1.0, take(h.shape, np.uint8)) if training and bi else None
+        a = _sign(h, h if bi and not resnet else take(h.shape, np.float32))
         wb = _sign(blk.weight)
         wmask = _window_mask(blk.weight, 1.0) if training else None
         wmat = wb.reshape(wb.shape[0], -1).T  # (K, O)
-        cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec)
-        f = gemm_rows(cols, wmat)
-        clip = clip_on and wmat.shape[0] > _CLIP_FREE_TAPS
-        cmask = _window_mask(f, 127.0) if clip and training else None
-        if clip:
-            np.clip(f, -127.0, 127.0, out=f)
+        n, oh, ow, o = output_shape(a.shape, wb.shape, blk.spec)
+        k = wmat.shape[0]
+        cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec, take((n, oh, ow, k), np.float32))
+        f = gemm_rows(cols, wmat, take((n, oh, ow, o), np.float32))
+        cmask = clip(f) if clip_on and k > _CLIP_FREE_TAPS else None
+        y, bncache = f, None
         if blk.bn is not None:
-            y, bncache = _bn_forward(blk.bn, f, training, out=f)
-        else:
-            y, bncache = f, None
+            xc = take(f.shape, np.float32) if training and not blk.bn.frozen else None
+            y, bncache = _bn_forward(blk.bn, f, training, out=f, xc=xc)
         zmask = omask = None
         if resnet:
-            z = y
-            if clip_on:
-                z, zmask = clip_i8_surrogate(y)
-            out = z + h
-            if clip_on:
-                out, omask = clip_i8_surrogate(out)
-        else:
-            out = y
-        caches.append(
-            {
-                "in_shape": h.shape,
-                "amask": amask,
-                "wmask": wmask,
-                "wmat": wmat,
-                "cols": cols,
-                "cmask": cmask,
-                "bncache": bncache,
-                "zmask": zmask,
-                "omask": omask,
-            }
-        )
-        h = out
+            zmask = clip(y) if clip_on else None
+            y += h
+            omask = clip(y) if clip_on else None
+        if training:
+            caches.append(
+                {
+                    "a": a,
+                    "amask": amask,
+                    "wmask": wmask,
+                    "wmat": wmat,
+                    "cols": cols,
+                    "cmask": cmask,
+                    "bncache": bncache,
+                    "zmask": zmask,
+                    "omask": omask,
+                }
+            )
+        h = y
     g = h.mean(axis=(1, 2))
     logits = g @ state.head_w + state.head_b
     return h, g, logits, caches
@@ -519,15 +539,18 @@ def _backward(state: TrainState, caches, trunk_shape, g, dlogits):
         else:
             dfc = dy
         df = dfc if cache["cmask"] is None else np.multiply(dfc, cache["cmask"], out=dfc)
+        cols = cache["cols"]
         k = cache["wmat"].shape[0]
         o = blk.weight.shape[0]
-        dwmat = cache["cols"].reshape(-1, k).T @ df.reshape(-1, o)
+        dwmat = cols.reshape(-1, k).T @ df.reshape(-1, o)
         dw = dwmat.T.reshape(blk.weight.shape) * cache["wmask"]
         grads.append((("weight", bi), blk.weight, dw))
-        if bi > 0 or resnet:
-            dcols = gemm_rows(df, cache["wmat"].T)
-            fh, fw = blk.weight.shape[1], blk.weight.shape[2]
-            dh = _col2im(dcols, cache["in_shape"], fh, fw, blk.spec)
+        if bi:
+            # the rows are dead once dW is formed, the signed input once
+            # they were gathered
+            dcols = gemm_rows(df, cache["wmat"].T, cols)
+            fh, fw, a = blk.weight.shape[1], blk.weight.shape[2], cache["a"]
+            dh = _col2im(dcols, a.shape, fh, fw, blk.spec, out=a)
             dh *= cache["amask"]
             if resnet:
                 dh += dshort
@@ -553,6 +576,55 @@ def _cosine_lr(lr0, e, total):
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * e / max(total, 1)))
 
 
+class _StepBuffers:
+    """The full-size buffers of one training step, handed to the next.
+
+    ``take(shape, dtype)`` returns a buffer of the previous step of that
+    shape and dtype, else a fresh one. A miss means the batch changed size
+    (a ragged last batch), so the previous step's other buffers are dropped
+    then. ``next_step()`` hands the buffers taken since its last call on;
+    call it only once nothing reads them.
+    """
+
+    def __init__(self):
+        self.spare, self.taken = [], []
+
+    def take(self, shape, dtype):
+        for i, buf in enumerate(self.spare):
+            if buf.shape == shape and buf.dtype == dtype:
+                buf = self.spare.pop(i)
+                break
+        else:
+            self.spare.clear()
+            buf = np.empty(shape, dtype)
+        self.taken.append(buf)
+        return buf
+
+    def next_step(self):
+        self.spare, self.taken = self.taken, []
+
+
+def _train_epoch(state: TrainState, xs, ys, order, batch_size: int, lr: float):
+    """One optimizer step per batch of ``order``; returns (loss sum, hits).
+    Each step writes into the previous step's buffers, which die with the
+    epoch, before the validation pass."""
+    buffers = _StepBuffers()
+    tot_loss, tot_hits = 0.0, 0
+    for lo in range(0, order.size, batch_size):
+        idx = order[lo : lo + batch_size]
+        xb, yb = xs[idx], ys[idx]
+        trunk, g, logits, caches = _forward(state, xb, True, buffers.take)
+        loss, dlogits = _softmax_ce(logits, yb)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"training diverged at epoch {state.epoch}: non-finite loss")
+        grads = _backward(state, caches, trunk.shape, g, dlogits)
+        _apply_grads(state, grads, lr)
+        buffers.next_step()
+        tot_loss += loss * len(idx)
+        tot_hits += int((logits.argmax(axis=1) == yb).sum())
+    return tot_loss, tot_hits
+
+
 def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> TrainState:
     """Run the optimizer in place for ``epochs`` epochs at cosine-decayed lr.
 
@@ -565,20 +637,7 @@ def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> T
     for e in range(epochs):
         lr = _cosine_lr(lr0, e, epochs)
         perm = rng.permutation(ntr)
-        tot_loss, tot_hits = 0.0, 0
-        for lo in range(0, ntr, task.batch_size):
-            idx = perm[lo : lo + task.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            trunk, g, logits, caches = _forward(state, xb, training=True)
-            loss, dlogits = _softmax_ce(logits, yb)
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"training diverged at epoch {state.epoch}: non-finite loss"
-                )
-            grads = _backward(state, caches, trunk.shape, g, dlogits)
-            _apply_grads(state, grads, lr)
-            tot_loss += loss * len(idx)
-            tot_hits += int((logits.argmax(axis=1) == yb).sum())
+        tot_loss, tot_hits = _train_epoch(state, xs, ys, perm, task.batch_size, lr)
         val_loss, val_acc = evaluate(state, task, "val")
         if not math.isfinite(val_loss):
             raise FloatingPointError(

@@ -112,6 +112,20 @@ def pertap_im2col(a, fh, fw, spec):
     return rows
 
 
+def im2col_layouts(test):
+    """Parametrize over input dtypes, layouts and geometries. An unpadded 1x1
+    filter reads whole pixels, and so does an unpadded filter as wide as the
+    input: their rows reshape to views."""
+    test = pytest.mark.parametrize("dtype", [np.float32, np.int8, np.float64])(test)
+    test = pytest.mark.parametrize("layout", ["contiguous", "strided"])(test)
+    return pytest.mark.parametrize(
+        "fh,fw,stride,pad",
+        [(1, 1, (1, 1), (0, 0)), (1, 1, (2, 3), (0, 0)), (2, 9, (1, 1), (0, 0)),
+         (3, 3, (1, 1), (0, 0)), (3, 3, (2, 1), (1, 1)), (2, 11, (1, 1), (0, 1))],
+        ids=["1x1", "1x1-stride", "full-width", "3x3", "3x3-pad", "full-padded-width"],
+    )(test)
+
+
 class TestIm2col:
     @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (8, 8)])
     @pytest.mark.parametrize("pad", [(0, 0), (1, 2)])
@@ -127,21 +141,15 @@ class TestIm2col:
                         assert got.dtype == np.float32
                         assert got.tobytes() == pertap_im2col(a, fh, fw, spec).tobytes()
 
-    # an unpadded 1x1 filter reads whole pixels, and so does an unpadded
-    # filter as wide as the input: their rows reshape to views
-    @pytest.mark.parametrize(
-        "fh,fw,stride,pad",
-        [(1, 1, (1, 1), (0, 0)), (1, 1, (2, 3), (0, 0)), (2, 9, (1, 1), (0, 0)),
-         (3, 3, (1, 1), (0, 0)), (3, 3, (2, 1), (1, 1)), (2, 11, (1, 1), (0, 1))],
-        ids=["1x1", "1x1-stride", "full-width", "3x3", "3x3-pad", "full-padded-width"],
-    )
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.int8, np.float64])
-    def test_returns_a_fresh_writable_array(self, fh, fw, stride, pad, layout, dtype):
+    @staticmethod
+    def _layout_case(layout, dtype):
         rng = np.random.default_rng(29)
         a = rng.integers(-127, 128, size=(2, 10, 9, 6)).astype(dtype)
-        if layout == "strided":
-            a = a[:, :, :, 1:5]
+        return a[:, :, :, 1:5] if layout == "strided" else a
+
+    @im2col_layouts
+    def test_returns_a_fresh_writable_array(self, fh, fw, stride, pad, layout, dtype):
+        a = self._layout_case(layout, dtype)
         spec = ConvSpec(stride, pad)
         want = pertap_im2col(a, fh, fw, spec)
         got = binconv.im2col(a, fh, fw, spec)
@@ -149,6 +157,32 @@ class TestIm2col:
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         got += 1  # writable, and the input does not move
         assert binconv.im2col(a, fh, fw, spec).tobytes() == want.tobytes()
+
+    @im2col_layouts
+    def test_writes_a_supplied_buffer_with_the_same_bytes(
+        self, fh, fw, stride, pad, layout, dtype
+    ):
+        a = self._layout_case(layout, dtype)
+        spec = ConvSpec(stride, pad)
+        want = pertap_im2col(a, fh, fw, spec)
+        out = np.full(want.shape, np.nan, dtype=np.float32)
+        assert binconv.im2col(a, fh, fw, spec, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda s: np.empty(s, np.float64), lambda s: np.empty(s[:-1] + (s[-1] + 1,), np.float32),
+         lambda s: np.empty(s[:-1] + (2 * s[-1],), np.float32)[..., ::2]],
+        ids=["dtype", "shape", "strided"],
+    )
+    def test_rejects_a_buffer_it_cannot_fill(self, bad):
+        a = np.ones((2, 5, 4, 3), np.float32)
+        spec = ConvSpec((1, 1), (1, 1))
+        shape = binconv.im2col(a, 3, 3, spec).shape
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            binconv.im2col(a, 3, 3, spec, bad(shape))
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            gemm_rows(a, np.ones((3, 4), np.float32), bad((2, 5, 4, 4)))
 
 
 # (leading axes, kernel dims) of the toy tasks' convolutions at the training
@@ -180,6 +214,8 @@ class TestGemmRows:
         got = gemm_rows(rows, wmat)
         assert got.shape == (*lead, kdims[0])
         assert got.tobytes() == (rows @ wmat).tobytes()
+        out = np.full(got.shape, np.nan, dtype=np.float32)
+        assert gemm_rows(rows, wmat, out) is out and out.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("lead,kdims", GRAD_GEMMS)
     def test_input_gradient_equals_the_stacked_matmul(self, lead, kdims):
@@ -191,6 +227,9 @@ class TestGemmRows:
         got = gemm_rows(df, wt)
         assert got.shape == (*lead, wt.shape[1])
         assert got.tobytes() == (df @ wt).tobytes()
+        # training writes the input gradient over the block's im2col rows
+        out = np.full(got.shape, np.nan, dtype=np.float32)
+        assert gemm_rows(df, wt, out) is out and out.tobytes() == got.tobytes()
 
 class TestOracle:
     def test_single_tap_identity(self):
