@@ -35,7 +35,7 @@ import numpy as np
 
 from . import binconv, bitcore, bnquant, netgraph
 from .binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
-from .bitcore import I8FeatureMap, pack_weights, pm1
+from .bitcore import I8_MAX, I8FeatureMap, pack_weights, pm1
 
 DEFAULT_SEED = 0xB17F10
 
@@ -237,7 +237,7 @@ def parse_config_file(path) -> list:
 def _build_workload(cfg: BenchConfig, seed: int):
     rng = np.random.default_rng(np.uint64(seed) ^ np.uint64(zlib.crc32(cfg.name.encode())))
     x = I8FeatureMap(
-        rng.integers(-127, 128, size=(1, cfg.height, cfg.width, cfg.c_in)).astype(np.int8)
+        rng.integers(-I8_MAX, I8_MAX + 1, size=(1, cfg.height, cfg.width, cfg.c_in)).astype(np.int8)
     )
     w = rng.choice([-1.0, 1.0], size=(cfg.c_out, cfg.filter, cfg.filter, cfg.c_in))
     return x, pack_weights(w), w
@@ -254,7 +254,7 @@ def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads:
 
         def dense():
             f = binconv.gemm_rows(binconv.im2col(signs, cfg.filter, cfg.filter, spec), wmat)
-            return I8FeatureMap(np.clip(f, -127, 127, out=f).astype(np.int8))
+            return I8FeatureMap.saturate(f)
         return dense
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -392,7 +392,7 @@ def fusion_sweep(rng, n_configs: int) -> SweepResult:
         spec = ConvSpec(
             (int(rng.integers(1, 3)), 1), (int(rng.integers(0, 2)), 1)
         )
-        vals = rng.integers(-127, 128, size=(1, h, w, cin)).astype(np.int8)
+        vals = rng.integers(-I8_MAX, I8_MAX + 1, size=(1, h, w, cin)).astype(np.int8)
         x = I8FeatureMap(vals)
         k = bitcore.pack_weights(rng.choice([-1.0, 1.0], size=(out, 3, 3, cin)))
         thr = None
@@ -411,7 +411,7 @@ def fusion_sweep(rng, n_configs: int) -> SweepResult:
 def threshold_sweep(rng, n_sets: int) -> SweepResult:
     """Integer thresholds vs sign of float batch norm, exhaustive inputs,
     over parameter sets that include both gamma signs."""
-    grid = np.arange(-127, 128, dtype=np.int8)
+    grid = np.arange(-I8_MAX, I8_MAX + 1, dtype=np.int8)
     done = positive = 0
     while done < n_sets:
         n = min(_THRESHOLD_CHUNK, n_sets - done)
@@ -425,7 +425,7 @@ def threshold_sweep(rng, n_sets: int) -> SweepResult:
             rng.uniform(0.01, 10, n),
         )
         t = bnquant.compute_threshold(p)
-        x = I8FeatureMap(np.tile(grid[None, :, None], (1, 1, n)).reshape(1, 255, 1, n))
+        x = I8FeatureMap(np.tile(grid[None, :, None], (1, 1, n)).reshape(1, grid.size, 1, n))
         got = bitcore.unpack_bits(bnquant.apply_threshold(x, t))
         ref = pm1(bnquant.bn_float(x.values, p) >= 0)
         if not np.array_equal(got, ref):
@@ -454,30 +454,16 @@ def random_model(rng) -> netgraph.Model:
     c = cin
     carries_i8 = True
     for d in range(depth):
-        last = d == depth - 1
         if carries_i8 and rng.random() < 0.5:
-            qbn, _ = bnquant.quantize_bn(_random_bn(rng, c, 2, 8, 4))
-            blocks.append(
-                netgraph.ResnetBlock(
-                    pack_weights(rng.choice([-1.0, 1.0], size=(c, 3, 3, c))),
-                    ConvSpec(spatial_pad=(1, 1)),
-                    qbn,
-                )
-            )
-        else:
-            cout = int(rng.integers(1, 10))
-            thr = None
-            if not last:
-                thr = bnquant.compute_threshold(_random_bn(rng, cout, 2, 8, 4))
-            blocks.append(
-                netgraph.VggBlock(
-                    pack_weights(rng.choice([-1.0, 1.0], size=(cout, 3, 3, c))),
-                    ConvSpec(spatial_pad=(1, 1)),
-                    thr,
-                )
-            )
-            c = cout
-            carries_i8 = thr is None
+            cls, cout = netgraph.ResnetBlock, c
+            tables, _ = bnquant.quantize_bn(_random_bn(rng, c, 2, 8, 4))
+        else:  # an inner vgg block emits bits, the last one 8 bits
+            cls, cout = netgraph.VggBlock, int(rng.integers(1, 10))
+            last = d == depth - 1
+            tables = None if last else bnquant.compute_threshold(_random_bn(rng, cout, 2, 8, 4))
+        kernel = pack_weights(rng.choice([-1.0, 1.0], size=(cout, 3, 3, c)))
+        blocks.append(cls(kernel, ConvSpec(spatial_pad=(1, 1)), tables))
+        c, carries_i8 = cout, cls is netgraph.ResnetBlock or tables is None
     return netgraph.Model(blocks)
 
 

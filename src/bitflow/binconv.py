@@ -12,8 +12,8 @@ Two output paths share that accumulation:
 
 * ``conv_i32``: the exact result,
 * ``conv_i8``: the exact result clamped once at the end to [-127, +127]
-  (clamp-at-end semantics, identical to clipping the final accumulator of
-  a training-time forward pass).
+  by ``I8FeatureMap.saturate`` (clamp-at-end semantics, identical to
+  clipping the final accumulator of a training-time forward pass).
 
 ``conv_fused`` collapses binarize/pad/convolve into one tiled pass over
 the input; tiling and worker count are pure performance knobs and never
@@ -49,10 +49,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitcore import (
     _MAX_ELEMENTS,
+    I8_MAX,
     WORD_BITS,
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
+    clip_free,
     pack_activations,
     pack_bitplanes,
 )
@@ -64,9 +66,6 @@ PAD_VALUE = -1
 # Cache budget for one fused tile's buffers and kernel, half a 2 MiB per-core L2:
 # on the bench suite's batch-1 shapes, tiles of about 0.4-1.5 MiB ran fastest.
 TILE_BYTE_BUDGET = 1 << 20
-
-I8_MAX = 127
-I8_MIN = -127
 
 # The dense oracle is exact below this many taps (fh * fw * cin) in float32.
 ORACLE_MAX_TAPS = 1 << 24
@@ -259,9 +258,8 @@ def conv_i32(
 def conv_i8(
     x: BitPlaneTensor, k: PackedKernelSet, spec: ConvSpec, threads: int = 1
 ) -> I8FeatureMap:
-    """Clipped binary convolution: clamp(conv_i32, -127, +127), never -128."""
-    wide = conv_i32(x, k, spec, threads)
-    return I8FeatureMap(np.clip(wide.values, I8_MIN, I8_MAX).astype(np.int8))
+    """Clipped binary convolution: conv_i32 saturated to the int8 range."""
+    return I8FeatureMap.saturate(conv_i32(x, k, spec, threads).values)
 
 
 def _site_word(cin: int, wps: int) -> np.dtype:
@@ -333,9 +331,9 @@ def conv_fused(
     word = _site_word(cin, wps)
     lane, acc_type = _lane_types(fh, fw, word, wps)
     bias = int(_match_bias(fh, fw, cin, 8 * word.itemsize * wps))
-    # |2 * matches - bias| <= fh*fw*cin; at most 127 the clamp never fires,
-    # so the low byte of 2 * matches - bias, wrapped in uint8, is the result
-    wrap = fh * fw * cin <= I8_MAX
+    # |2 * matches - bias| <= fh*fw*cin; where the clamp never fires, the low
+    # byte of 2 * matches - bias, wrapped in uint8, is the result
+    wrap = clip_free(fh * fw * cin)
     kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
@@ -356,7 +354,7 @@ def conv_fused(
             y -= np.uint8(bias & 0xFF)
         else:
             y -= bias
-            np.clip(y, I8_MIN, I8_MAX, out=y)
+            np.clip(y, -I8_MAX, I8_MAX, out=y)
         result[:, y0:y1] = y.view(np.int8) if wrap else y  # a cast-free copy when it wraps
 
     _run_row_spans(oh, tile_rows, threads, run_tile)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
+I8_MAX = 127  # every clamp of the 8-bit data flow saturates to [-I8_MAX, +I8_MAX]
 
 # Refuse shapes whose element count could overflow intermediate buffers.
 _MAX_ELEMENTS = 1 << 40
@@ -109,9 +110,14 @@ class PackedKernelSet:
         return self.words_per_site * WORD_BITS - self.in_channels
 
 
+def clip_free(taps: int) -> bool:
+    """Whether a sum of ``taps`` +-1 products, at most ``taps`` in size, cannot clip."""
+    return taps <= I8_MAX
+
+
 @dataclass(frozen=True, eq=False)
 class I8FeatureMap:
-    """NHWC feature map of 8-bit integers restricted to [-127, +127].
+    """NHWC feature map of 8-bit integers restricted to [-I8_MAX, +I8_MAX].
 
     -128 never appears; the interval is kept symmetric so negation and
     saturating accumulation stay closed over the type.
@@ -119,13 +125,21 @@ class I8FeatureMap:
 
     values: np.ndarray
 
+    @classmethod
+    def saturate(cls, values: np.ndarray) -> I8FeatureMap:
+        """``values`` clamped to [-I8_MAX, +I8_MAX] by one ``np.clip`` pass into a
+        fresh int8 buffer; exact for integers and integer-valued floats."""
+        out = np.empty(np.shape(values), np.int8)
+        np.clip(values, -I8_MAX, I8_MAX, out=out, casting="unsafe")
+        return cls(out)
+
     def __post_init__(self):
         v = self.values
         if v.ndim != 4:
             raise ValueError(f"feature map must be NHWC, got shape {v.shape}")
         if v.dtype != np.int8:
             raise ValueError(f"feature map must be int8, got {v.dtype}")
-        if v.size and int(v.min()) < -127:
+        if v.size and int(v.min()) < -I8_MAX:
             raise ValueError("feature map contains values below -127")
         v.setflags(write=False)
 

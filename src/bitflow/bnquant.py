@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitPlaneTensor, I8FeatureMap, pack_bitplanes
+from .bitcore import I8_MAX, BitPlaneTensor, I8FeatureMap, pack_bitplanes
 
 GE = 0  # emit +1 when x >= tau
 LE = 1  # emit +1 when x <= tau
@@ -63,7 +63,8 @@ class ThresholdParams:
     """Integer thresholds replacing BN + sign.
 
     ``tau`` lies in [-128, +128]; values outside [-127, +127] mark
-    channels that are constant over the 8-bit input domain. ``direction``
+    channels that are constant over the 8-bit input domain
+    (:meth:`constant_channels`). ``direction``
     is GE where gamma/sigma >= 0 and LE where it is negative.
     """
 
@@ -83,6 +84,11 @@ class ThresholdParams:
     @property
     def channels(self) -> int:
         return self.tau.shape[0]
+
+    def constant_channels(self) -> np.ndarray:
+        """Channels whose |tau| exceeds ``I8_MAX``, so their comparison
+        gives one answer over the whole clipped 8-bit input."""
+        return np.flatnonzero(np.abs(self.tau.astype(np.int32)) > I8_MAX)
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,8 @@ def compute_threshold(p: BNParams) -> ThresholdParams:
 
     gamma == 0 channels are constant (+1 when beta >= 0, -1 otherwise);
     the grid search already encodes them as GE comparisons that always
-    (tau -128) or never (tau 128) hold, and they are reported with a
-    warning.
+    (tau -128) or never (tau 128) hold. ``netgraph.convert_model`` reports
+    them.
     """
     gamma = np.asarray(p.gamma, dtype=np.float64)
     direction = np.where(gamma < 0, LE, GE).astype(np.uint8)
@@ -178,16 +184,7 @@ def compute_threshold(p: BNParams) -> ThresholdParams:
     # a channel that never fires is constant -1: encode as an
     # unsatisfiable comparison on either side
     tau_int = np.where(any_fire, tau_int, np.where(ge, 128, -128))
-    tau_int = tau_int.astype(np.int16)
-    zero = np.flatnonzero(gamma == 0)
-    if zero.size:
-        warnings.warn(
-            f"gamma == 0 makes channels {zero.tolist()} constant "
-            f"({np.where(p.beta[zero] >= 0, '+1', '-1').tolist()})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ThresholdParams(tau_int, direction)
+    return ThresholdParams(tau_int.astype(np.int16), direction)
 
 
 def threshold_bits(values: np.ndarray, t: ThresholdParams) -> np.ndarray:
@@ -200,7 +197,8 @@ def threshold_bits(values: np.ndarray, t: ThresholdParams) -> np.ndarray:
     ``values`` lies in [-127, 127] (the :class:`I8FeatureMap` invariant).
     """
     le = t.direction == LE
-    limit = np.clip(t.tau - 1 + le, -128, 127).astype(np.int8)
+    i8 = np.iinfo(np.int8)
+    limit = np.clip(t.tau - 1 + le, i8.min, i8.max).astype(np.int8)
     bits = values > limit
     return np.bitwise_xor(bits, le, out=bits)
 
@@ -322,7 +320,7 @@ def bn_q_forward(x: I8FeatureMap, q: QBNParams) -> I8FeatureMap:
     f = q.deploy_fmt.frac_bits
     t = q.m_q.astype(np.int32) * x.values.astype(np.int32) + q.c_q.astype(np.int32)
     y = ((np.abs(t) + np.int32((1 << f) >> 1)) >> np.int32(f)) * np.sign(t)  # f = 0: y = t
-    return I8FeatureMap(np.clip(y, -127, 127).astype(np.int8))
+    return I8FeatureMap.saturate(y)
 
 
 def bn_q_error_bounds(q: QBNParams, p: BNParams) -> tuple[np.ndarray, np.ndarray]:

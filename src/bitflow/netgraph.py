@@ -186,8 +186,7 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
         )
     y = conv_fused(x, None, b.kernel, b.spec, threads=threads)
     z = bn_q_forward(y, b.qbn)
-    summed = z.values.astype(np.int16) + x.values.astype(np.int16)
-    return I8FeatureMap(np.clip(summed, -127, 127).astype(np.int8))
+    return I8FeatureMap.saturate(z.values.astype(np.int16) + x.values.astype(np.int16))
 
 
 def block_shapes(model: Model, input_dims) -> list:
@@ -297,11 +296,8 @@ def convert_model(model: Model, mode: str) -> tuple[Model, ConversionReport]:
         gamma_zero = blk.bn.gamma == 0
         gzero.extend((i, int(c)) for c in np.flatnonzero(gamma_zero))
         if mode == "vgg-threshold":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                thr = compute_threshold(blk.bn)
-            beyond = (np.abs(thr.tau.astype(np.int32)) > 127) & ~gamma_zero
-            constant.extend((i, int(c)) for c in np.flatnonzero(beyond))
+            thr = compute_threshold(blk.bn)
+            constant.extend((i, int(c)) for c in thr.constant_channels() if not gamma_zero[c])
             blocks.append(VggBlock(blk.kernel, blk.spec, thr))
         else:
             qbn, _ = quantize_bn(blk.bn)
@@ -426,7 +422,7 @@ def model_from_bytes(buf: bytes) -> Model:
 def _warn_constant_channels(model: Model) -> None:
     for i, blk in enumerate(model.blocks):
         if isinstance(blk, VggBlock) and blk.thr is not None:
-            const = np.flatnonzero(np.abs(blk.thr.tau.astype(np.int32)) > 127)
+            const = blk.thr.constant_channels()
             if const.size:
                 warnings.warn(
                     f"layer {i}: thresholds beyond the clipped range make "

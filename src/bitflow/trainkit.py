@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binconv import ConvSpec, gemm_rows, im2col, output_shape
-from .bitcore import pack_weights
+from .bitcore import I8_MAX, clip_free, pack_weights
 from .bnquant import BNParams, QBNParams, quantize_bn
 from .netgraph import FloatBlock, Model, ResnetBlock, convert_model, run_float_reference
 
@@ -53,7 +53,6 @@ _LR_STAGE1 = 0.02
 _LR_STAGE2 = 0.012
 _EVAL_BATCH = 200
 _FD_STEP = 1e-4  # grad_check's central-difference step
-_CLIP_FREE_TAPS = 127  # a sum of K +-1 products has |f| <= K: K <= 127 never clips
 
 STAGE_WARMUP = "warmup"
 STAGE_CLIPPED = "clipped"
@@ -99,7 +98,7 @@ def clip_i8_surrogate(x):
     mask is 1 iff -127 <= x <= 127 and views the compares' bool result.
     """
     x = np.asarray(x)
-    return np.clip(x, -127.0, 127.0), _window_mask(x, 127.0)
+    return np.clip(x, -I8_MAX, I8_MAX), _window_mask(x, I8_MAX)
 
 
 def _hard_tanh(x):
@@ -223,6 +222,8 @@ def make_toy_task(
         raise ValueError("n_train, n_val, batch_size must be >= 1 and noise finite, >= 0")
     if widths is None:
         widths = (64, 64, 32) if variant == "vgg" else (8, 8, 8)
+    if variant == "resnet" and set(widths) != {8}:  # identity shortcuts keep the 8 channels
+        raise ValueError(f"resnet widths must all be the input's 8 channels, got {widths}")
     rng = np.random.default_rng(np.uint64(seed))
     templates = class_templates(rng)
     n = n_train + n_val
@@ -448,14 +449,14 @@ def _forward(state: TrainState, x, training: bool, take=np.empty):
     signed input past the first, which is the previous block's output signed
     in place (the caller's batch and the residual inputs, which the shortcut
     reads, are signed into buffers of their own). Eval forms no masks and
-    keeps no caches, and blocks of <= 127 taps skip the clip."""
+    keeps no caches nor rows past their GEMM, and ``clip_free`` blocks skip the clip."""
     clip_on = state.stage != STAGE_WARMUP
     resnet = state.variant == "resnet"
 
     def clip(v):
         """Clamp ``v`` in place; the clip's mask when training."""
-        mask = _window_mask(v, 127.0, take(v.shape, np.uint8)) if training else None
-        np.clip(v, -127.0, 127.0, out=v)
+        mask = _window_mask(v, I8_MAX, take(v.shape, np.uint8)) if training else None
+        np.clip(v, -I8_MAX, I8_MAX, out=v)
         return mask
 
     h = _sign(x, take(x.shape, np.float32)) if resnet else np.asarray(x)
@@ -471,7 +472,8 @@ def _forward(state: TrainState, x, training: bool, take=np.empty):
         k = wmat.shape[0]
         cols = im2col(a, wb.shape[1], wb.shape[2], blk.spec, take((n, oh, ow, k), np.float32))
         f = gemm_rows(cols, wmat, take((n, oh, ow, o), np.float32))
-        cmask = clip(f) if clip_on and k > _CLIP_FREE_TAPS else None
+        cols = cols if training else None  # eval drops the rows before the next block's
+        cmask = clip(f) if clip_on and not clip_free(k) else None
         y, bncache = f, None
         if blk.bn is not None:
             xc = take(f.shape, np.float32) if training and not blk.bn.frozen else None

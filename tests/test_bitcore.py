@@ -1,4 +1,7 @@
-"""Tests for bit packing, unpacking and the staged kernel's popcount fold."""
+"""Tests for bit packing, unpacking, the saturating narrow and the staged
+kernel's popcount fold."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,32 @@ class TestEncoder:
         signs = bitcore.pm1(bits)
         assert signs.dtype == np.int8 and np.shares_memory(signs, bits)
         assert signs.tolist() == [[1, -1, -1], [1, 1, -1]]
+
+
+class TestSaturate:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.float32])
+    def test_clamps_into_a_fresh_int8_map(self, dtype):
+        wide = [-32768, -200, -129, -128, -127, -1, 0, 1, 126, 127, 128, 32767]
+        values = np.array(wide, dtype=dtype).reshape(1, 2, 3, 2)
+        got = bitcore.I8FeatureMap.saturate(values).values
+        assert got.dtype == np.int8 and not np.shares_memory(got, values)
+        assert np.array_equal(got, np.clip(values.astype(np.int64), -127, 127))
+
+    def test_makes_no_wide_temporary(self):
+        values = np.arange(-2**20, 2**20, dtype=np.int32).reshape(2, 1024, 1024, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bitcore.I8FeatureMap.saturate(values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < values.size * 1.25  # the int8 result (values.size bytes) and a buffer
+
+    def test_clip_free_is_at_most_the_range(self):
+        assert bitcore.clip_free(72) and bitcore.clip_free(bitcore.I8_MAX)
+        assert not bitcore.clip_free(bitcore.I8_MAX + 1)
 
 
 class TestPacking:

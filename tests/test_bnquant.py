@@ -81,8 +81,7 @@ class TestComputeThreshold:
 
     def test_gamma_zero_constant_channels(self):
         p = params([0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0])
-        with pytest.warns(RuntimeWarning):
-            t = compute_threshold(p)
+        t = compute_threshold(p)  # convert_model reports these channels, not this
         x = I8FeatureMap(
             np.array([[-127, -127], [127, 127]], dtype=np.int8).reshape(1, 1, 2, 2)
         )
@@ -95,6 +94,16 @@ class TestComputeThreshold:
         assert t.tau[0] == 128
         x = I8FeatureMap(np.full((1, 1, 1, 1), 127, dtype=np.int8))
         assert unpack_bits(apply_threshold(x, t))[0, 0, 0, 0] == -1
+
+    def test_constant_channels_are_those_beyond_the_clipped_range(self):
+        tau = np.array([-128, -127, 0, 127, 128, 5], dtype=np.int16)
+        t = ThresholdParams(tau, np.array([GE, LE, GE, GE, LE, GE], dtype=np.uint8))
+        assert t.constant_channels().tolist() == [0, 4]
+        x = I8FeatureMap(np.arange(-127, 128, dtype=np.int8).reshape(1, 255, 1, 1))
+        for c in range(t.channels):
+            one = ThresholdParams(tau[c : c + 1], t.direction[c : c + 1])
+            bits = unpack_bits(apply_threshold(x, one))
+            assert (np.unique(bits).size == 1) == (c in (0, 4))
 
     def test_direction_other_than_ge_or_le_rejected(self):
         tau = np.zeros(2, dtype=np.int16)

@@ -274,6 +274,20 @@ class TestRunModel:
         with pytest.raises(GraphError):
             run_model(Model([]), np.ones((1, 4, 4, 2)))
 
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (1, 1, 4, 4, 2), ()])
+    def test_non_nhwc_input_rejected(self, shape):
+        blk = VggBlock(pack_weights(np.ones((2, 1, 1, 2))), ConvSpec(), None)
+        with pytest.raises(GraphError, match="input must be NHWC"):
+            run_model(Model([blk]), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        blk = VggBlock(pack_weights(np.ones((2, 1, 1, 2))), ConvSpec(), None)
+        x = np.ones((1, 3, 3, 2))
+        x[0, 1, 2, 1] = bad
+        with pytest.raises(GraphError, match="input must be finite"):
+            run_model(Model([blk]), x)
+
     def test_single_block_equals_direct_call(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 3, 3, 4))
@@ -492,6 +506,16 @@ class TestConvertModel:
         assert report.gamma_zero_channels == [(0, 1)]
         assert report.constant_channels == []  # reported once, as gamma == 0
         assert report.warning_count == 1
+
+    @pytest.mark.parametrize("mode", ["vgg-threshold", "resnet-qbn"])
+    def test_converted_blocks_pass_through_unchanged(self, mode):
+        rng = np.random.default_rng(14)
+        vgg, _ = convert_model(float_vgg_model(rng, cin=6, width=6), "vgg-threshold")
+        res, _ = convert_model(float_resnet_model(rng, depth=1), "resnet-qbn")
+        blocks = [res.blocks[0], *vgg.blocks]
+        model, report = convert_model(Model(blocks), mode)
+        assert all(got is want for got, want in zip(model.blocks, blocks))
+        assert len(model.blocks) == len(blocks) and report.warning_count == 0
 
     def test_resnet_tables_roundtrip(self):
         rng = np.random.default_rng(12)

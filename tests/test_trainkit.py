@@ -172,9 +172,16 @@ class TestToyTask:
             ("noise", -0.5),
             ("noise", float("nan")),
             ("noise", float("inf")),
+            ("widths", (16, 16)),  # resnet blocks keep the input's 8 channels
+            ("widths", (8, 4, 8)),
+            ("widths", ()),
         ],
     )
     def test_degenerate_sizes_are_rejected(self, name, value):
+        if name == "widths":
+            with pytest.raises(ValueError, match="resnet widths"):
+                make_toy_task(variant="resnet", widths=value)
+            return
         with pytest.raises(ValueError, match="n_train, n_val, batch_size"):
             make_toy_task(**{name: value})
 
@@ -738,6 +745,33 @@ class TestBufferOwnership:
         assert evaluate(state, task, "val") == first
         assert task.images.tobytes() == images.tobytes()
 
+    def test_evaluate_reads_either_split_and_rejects_others(self):
+        task = small_vgg_task(n_train=60, n_val=20)
+        state = tk.init_state(task)
+        loss, acc = evaluate(state, task, "train")
+        logits = tk._forward(state, task.train_images, False)[2]
+        assert loss == pytest.approx(tk._softmax_ce(logits, task.train_labels)[0])
+        assert acc == pytest.approx(100.0 * (logits.argmax(1) == task.train_labels).mean())
+        with pytest.raises(ValueError, match="unknown split 'test'"):
+            evaluate(state, task, "test")
+
+    def test_evaluate_drops_each_blocks_rows_after_its_gemm(self):
+        # one eval batch of the train-toy task's 100 validation images: the
+        # stem's rows (7.0 MiB), its output (6.25 MiB) and block 1's rows
+        # (6.25 MiB) were all alive at once, a 20.5 MiB traced peak; with each
+        # block's rows dropped after its GEMM it is 14.1 MiB
+        task = make_toy_task(seed=4747, n_train=200, n_val=100)
+        state = tk.init_state(task)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evaluate(state, task, "val")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
+
     def test_clip_forced_on_every_block_changes_no_byte(self, monkeypatch):
         # block 1 reads 8 * 8 * 2 = 128 taps; a large stem beta makes every
         # input sign +1 and non-negative weights make every weight sign +1,
@@ -751,7 +785,7 @@ class TestBufferOwnership:
         caches = tk._forward(probe, task.train_images[:50], True)[3]
         assert not caches[1]["cmask"].any()
         shipped = train_stage2(s1, task, epochs=1)
-        monkeypatch.setattr(tk, "_CLIP_FREE_TAPS", 0)
+        monkeypatch.setattr(tk, "clip_free", lambda taps: False)
         forced = train_stage2(s1, task, epochs=1)
         TestTrainingBitIdentity._assert_same(shipped, forced)
 
