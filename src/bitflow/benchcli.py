@@ -22,6 +22,7 @@ import argparse
 import ctypes
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -84,6 +85,7 @@ class BenchRow:
     min_us: float
     max_us: float
     ratio: float | None
+    minor_faults_per_call: float  # page faults served without I/O, per timed call
 
 
 @dataclass
@@ -259,6 +261,10 @@ def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _first_diff(got: np.ndarray, want: np.ndarray) -> str:
     """Where two same-shaped arrays first differ, and both values there."""
     idx = tuple(int(i) for i in np.argwhere(got != want)[0])
@@ -275,7 +281,9 @@ def run_bench(
     with the staged binarize/pack/convolve/clamp pipeline on one thread; a
     disagreement raises before anything is timed. Then every variant warms
     up, and each repeat times every variant once in turn, so a burst of
-    host load spreads over all of them. The loaded OpenBLAS runs at
+    host load spreads over all of them. The process's minor page faults are
+    read just outside each timed call, and each row gives their mean per
+    call. The loaded OpenBLAS runs at
     ``threads`` threads meanwhile, and the report records that count.
     Out-of-range counts raise ``ValueError`` before any workload is built.
     """
@@ -304,14 +312,17 @@ def run_bench(
                 for _ in range(warmup):
                     fn()
             times = [[] for _ in runners]
+            faults = [0] * len(runners)
             for _ in range(repeats):
-                for fn, samples in zip(runners, times):
+                for k, (fn, samples) in enumerate(zip(runners, times)):
+                    f0 = _minor_faults()
                     t0 = time.perf_counter_ns()
                     fn()
                     samples.append((time.perf_counter_ns() - t0) / 1000.0)
+                    faults[k] += _minor_faults() - f0
             rows = [
-                BenchRow(cfg.name, v, statistics.median(t), min(t), max(t), None)
-                for v, t in zip(variants, times)
+                BenchRow(cfg.name, v, statistics.median(t), min(t), max(t), None, f / repeats)
+                for v, t, f in zip(variants, times, faults)
             ]
             base = next((r for r in rows if r.variant == BASELINE_VARIANT), rows[0]).median_us
             for row in rows:
@@ -568,11 +579,14 @@ def cmd_bench(args) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"{'config':<8}{'variant':<18}{'median_us':>12}{'min_us':>12}{'max_us':>12}{'ratio':>8}")
+    print(
+        f"{'config':<8}{'variant':<18}{'median_us':>12}{'min_us':>12}{'max_us':>12}{'ratio':>8}"
+        f"{'faults':>9}"
+    )
     for r in report.rows:
         print(
             f"{r.config:<8}{r.variant:<18}{r.median_us:>12.1f}{r.min_us:>12.1f}"
-            f"{r.max_us:>12.1f}{r.ratio:>8.3f}"
+            f"{r.max_us:>12.1f}{r.ratio:>8.3f}{r.minor_faults_per_call:>9.1f}"
         )
     if args.json:
         with open(args.json, "w") as fh:

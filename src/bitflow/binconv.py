@@ -50,6 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bitcore import (
     _MAX_ELEMENTS,
     I8_MAX,
+    TILE_BYTE_BUDGET,
     WORD_BITS,
     BitPlaneTensor,
     I8FeatureMap,
@@ -62,10 +63,6 @@ from .bnquant import ThresholdParams, apply_threshold, threshold_bits
 
 # Padded pixels decode to this value; {-1,+1} codes cannot represent 0.
 PAD_VALUE = -1
-
-# Cache budget for one fused tile's buffers and kernel, half a 2 MiB per-core L2:
-# on the bench suite's batch-1 shapes, tiles of about 0.4-1.5 MiB ran fastest.
-TILE_BYTE_BUDGET = 1 << 20
 
 # The dense oracle is exact below this many taps (fh * fw * cin) in float32.
 ORACLE_MAX_TAPS = 1 << 24

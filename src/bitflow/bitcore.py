@@ -26,6 +26,11 @@ import numpy as np
 WORD_BITS = 64
 I8_MAX = 127  # every clamp of the 8-bit data flow saturates to [-I8_MAX, +I8_MAX]
 
+# Cache budget for the scratch of one fused convolution tile or one slab of an
+# elementwise pass, half a 2 MiB per-core L2: on the bench suite's batch-1
+# shapes, fused tiles of about 0.4-1.5 MiB ran fastest.
+TILE_BYTE_BUDGET = 1 << 20
+
 # Refuse shapes whose element count could overflow intermediate buffers.
 _MAX_ELEMENTS = 1 << 40
 
@@ -33,6 +38,15 @@ _MAX_ELEMENTS = 1 << 40
 def words_per_pixel(channels: int) -> int:
     """Number of 64-bit words needed to hold one pixel's channels."""
     return -(-channels // WORD_BITS)
+
+
+def budget_slices(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices over ``rows`` rows, each of as many rows as
+    :data:`TILE_BYTE_BUDGET` holds at ``row_bytes`` of scratch a row (at
+    least one); the last slice takes the remainder, and zero rows make one
+    empty slice."""
+    step = max(1, TILE_BYTE_BUDGET // row_bytes)
+    return [slice(r, min(r + step, rows)) for r in range(0, max(rows, 1), step)]
 
 
 def _check_dims(dims, names) -> None:
@@ -110,6 +124,13 @@ class PackedKernelSet:
         return self.words_per_site * WORD_BITS - self.in_channels
 
 
+def saturate_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values`` clamped to [-I8_MAX, +I8_MAX] by one ``np.clip`` pass into
+    the int8 array ``out``, which it returns; exact for integers and
+    integer-valued floats."""
+    return np.clip(values, -I8_MAX, I8_MAX, out=out, casting="unsafe")
+
+
 def clip_free(taps: int) -> bool:
     """Whether a sum of ``taps`` +-1 products, at most ``taps`` in size, cannot clip."""
     return taps <= I8_MAX
@@ -127,11 +148,8 @@ class I8FeatureMap:
 
     @classmethod
     def saturate(cls, values: np.ndarray) -> I8FeatureMap:
-        """``values`` clamped to [-I8_MAX, +I8_MAX] by one ``np.clip`` pass into a
-        fresh int8 buffer; exact for integers and integer-valued floats."""
-        out = np.empty(np.shape(values), np.int8)
-        np.clip(values, -I8_MAX, I8_MAX, out=out, casting="unsafe")
-        return cls(out)
+        """``values`` clamped by :func:`saturate_into` into a fresh int8 buffer."""
+        return cls(saturate_into(values, np.empty(np.shape(values), np.int8)))
 
     def __post_init__(self):
         v = self.values

@@ -26,12 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import I8_MAX, BitPlaneTensor, I8FeatureMap, pack_bitplanes
+from .bitcore import (
+    I8_MAX,
+    BitPlaneTensor,
+    I8FeatureMap,
+    budget_slices,
+    pack_bitplanes,
+    saturate_into,
+    words_per_pixel,
+)
 
 GE = 0  # emit +1 when x >= tau
 LE = 1  # emit +1 when x <= tau
 
 _I16_MIN, _I16_MAX = -32768, 32767
+_I8 = np.iinfo(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +71,10 @@ class BNParams:
 class ThresholdParams:
     """Integer thresholds replacing BN + sign.
 
-    ``tau`` lies in [-128, +128]; values outside [-127, +127] mark
-    channels that are constant over the 8-bit input domain
-    (:meth:`constant_channels`). ``direction``
-    is GE where gamma/sigma >= 0 and LE where it is negative.
+    ``tau`` lies in [-128, +128]. ``direction`` is GE where gamma/sigma >= 0
+    and LE where it is negative. A GE channel with tau <= -127 or tau = 128,
+    and an LE channel with tau = -128 or tau >= 127, is constant over the
+    clipped 8-bit input (:meth:`constant_channels`).
     """
 
     tau: np.ndarray  # int16
@@ -85,10 +94,18 @@ class ThresholdParams:
     def channels(self) -> int:
         return self.tau.shape[0]
 
+    def limits(self) -> np.ndarray:
+        """Per channel, the int16 ``tau - 1 + le`` (``le`` = 1 on LE
+        channels) that :func:`threshold_bits` compares against: a channel
+        emits ``(x > limit) ^ le``."""
+        return self.tau - 1 + (self.direction == LE)
+
     def constant_channels(self) -> np.ndarray:
-        """Channels whose |tau| exceeds ``I8_MAX``, so their comparison
-        gives one answer over the whole clipped 8-bit input."""
-        return np.flatnonzero(np.abs(self.tau.astype(np.int32)) > I8_MAX)
+        """Channels whose comparison gives one answer over the whole clipped
+        8-bit input: ``x > limit`` always holds on [-I8_MAX, I8_MAX] when the
+        limit lies below ``-I8_MAX``, and never when it is ``I8_MAX`` or more."""
+        limit = self.limits()
+        return np.flatnonzero((limit < -I8_MAX) | (limit >= I8_MAX))
 
 
 @dataclass(frozen=True)
@@ -192,24 +209,35 @@ def threshold_bits(values: np.ndarray, t: ThresholdParams) -> np.ndarray:
 
     One compare per value, with no product array: ``x >= tau`` is
     ``x > tau - 1``, and ``x <= tau`` is the negation of ``x > tau``, so
-    with ``le`` = 1 on LE channels both read ``(x > tau - 1 + le) ^ le``.
-    The limit clips to int8 without changing any decision, because
-    ``values`` lies in [-127, 127] (the :class:`I8FeatureMap` invariant).
+    with ``le`` = 1 on LE channels both read ``(x > tau - 1 + le) ^ le``
+    (:meth:`ThresholdParams.limits`). The limit clips to int8 without
+    changing any decision, because ``values`` lies in [-127, 127] (the
+    :class:`I8FeatureMap` invariant).
     """
     le = t.direction == LE
-    i8 = np.iinfo(np.int8)
-    limit = np.clip(t.tau - 1 + le, i8.min, i8.max).astype(np.int8)
+    # two ufuncs, not np.clip, whose wrapper costs more than the compare on
+    # a batch-1 map; apply_threshold calls this once a slab
+    limit = np.minimum(np.maximum(t.limits(), _I8.min), _I8.max).astype(np.int8)
     bits = values > limit
     return np.bitwise_xor(bits, le, out=bits)
 
 
 def apply_threshold(x: I8FeatureMap, t: ThresholdParams) -> BitPlaneTensor:
-    """Binarize an 8-bit feature map by per-channel threshold comparison."""
+    """Binarize an 8-bit feature map by per-channel threshold comparison.
+
+    The pixels are compared and packed in :func:`budget_slices` slabs into
+    one word map, so no full-size bit map is made."""
     if x.channels != t.channels:
         raise ValueError(
             f"threshold channels {t.channels} != feature channels {x.channels}"
         )
-    return BitPlaneTensor(x.dims, pack_bitplanes(threshold_bits(x.values, t)))
+    src = x.values.reshape(-1, x.channels)
+    words = np.empty((*x.dims[:3], words_per_pixel(x.channels)), np.uint64)
+    dst = words.reshape(len(src), words.shape[-1])
+    # a pixel's scratch: its comparison bits, then its packed and word-padded bytes
+    for s in budget_slices(len(src), x.channels + 2 * dst.itemsize * dst.shape[1]):
+        dst[s] = pack_bitplanes(threshold_bits(src[s], t))
+    return BitPlaneTensor(x.dims, words)
 
 
 def qformat_fit(values) -> QFormat:
@@ -311,16 +339,32 @@ def quantize_bn(p: BNParams) -> tuple[QBNParams, BNParams]:
 def bn_q_forward(x: I8FeatureMap, q: QBNParams) -> I8FeatureMap:
     """Fixed-point batch norm: round_to_nearest(m*x + c) clamped to [-127, 127].
 
-    The multiply-add runs on integers (32-bit intermediates over the
-    16-bit tables); rounding is half away from zero on the shared
-    fractional scale.
+    The pixels run in :func:`budget_slices` slabs through one int32 and one
+    bool scratch, reused for every slab, and each slab is clamped straight
+    into the int8 result, so no full-size wide map is made. Per slab
+    ``t = m*x + c`` is an int32 multiply-add over the 16-bit tables, rounded
+    half away from zero on the shared fractional scale as
+    ``(t + half - [t < 0]) >> f``, which is ``((|t| + half) >> f) * sign(t)``.
     """
     if x.channels != q.channels:
         raise ValueError(f"qbn channels {q.channels} != feature channels {x.channels}")
     f = q.deploy_fmt.frac_bits
-    t = q.m_q.astype(np.int32) * x.values.astype(np.int32) + q.c_q.astype(np.int32)
-    y = ((np.abs(t) + np.int32((1 << f) >> 1)) >> np.int32(f)) * np.sign(t)  # f = 0: y = t
-    return I8FeatureMap.saturate(y)
+    src = x.values.reshape(-1, x.channels)
+    out = np.empty(x.dims, np.int8)
+    dst = out.reshape(src.shape)
+    slabs = budget_slices(len(src), 5 * x.channels)  # an int32 and a bool per value
+    t_buf = np.empty((slabs[0].stop, x.channels), np.int32)
+    neg_buf = np.empty(t_buf.shape, np.bool_)
+    for s in slabs:
+        t, neg = t_buf[: s.stop - s.start], neg_buf[: s.stop - s.start]
+        np.multiply(src[s], q.m_q, out=t, dtype=np.int32)
+        t += q.c_q
+        if f:  # at f = 0, t is already whole
+            t -= np.less(t, 0, out=neg)
+            t += (1 << f) >> 1
+            t >>= f
+        saturate_into(t, dst[s])
+    return I8FeatureMap(out)
 
 
 def bn_q_error_bounds(q: QBNParams, p: BNParams) -> tuple[np.ndarray, np.ndarray]:

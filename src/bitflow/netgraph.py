@@ -186,7 +186,7 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
         )
     y = conv_fused(x, None, b.kernel, b.spec, threads=threads)
     z = bn_q_forward(y, b.qbn)
-    return I8FeatureMap.saturate(z.values.astype(np.int16) + x.values.astype(np.int16))
+    return I8FeatureMap.saturate(np.add(z.values, x.values, dtype=np.int16))
 
 
 def block_shapes(model: Model, input_dims) -> list:
@@ -267,7 +267,7 @@ def run_float_reference(model: Model, x: np.ndarray, mode: str | None = None) ->
 class ConversionReport:
     """Per-layer diagnostics from float-to-deployment conversion."""
 
-    constant_channels: list  # (layer, channel) pairs with |tau| > 127 and gamma != 0
+    constant_channels: list  # (layer, channel) pairs per ThresholdParams, gamma != 0
     gamma_zero_channels: list  # (layer, channel) pairs degraded to constants
 
     @property

@@ -217,8 +217,12 @@ class TestCli:
             ("t", "i8-fused"), ("t", "i32-staged")
         ]
         for r in rows:
-            assert list(r) == ["config", "variant", "median_us", "min_us", "max_us", "ratio"]
+            assert list(r) == [
+                "config", "variant", "median_us", "min_us", "max_us", "ratio",
+                "minor_faults_per_call",
+            ]
             assert 0 < r["min_us"] <= r["median_us"] <= r["max_us"]
+            assert r["minor_faults_per_call"] >= 0
 
     def test_bench_runs_blas_at_the_thread_count_then_restores_it(self, tmp_path, monkeypatch):
         found = benchcli._openblas()

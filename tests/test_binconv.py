@@ -5,7 +5,6 @@ import pytest
 
 from bitflow import binconv
 from bitflow.binconv import (
-    TILE_BYTE_BUDGET,
     ConvSpec,
     conv_float_oracle,
     conv_fused,
@@ -16,7 +15,7 @@ from bitflow.binconv import (
     output_shape,
     staged_conv_i8,
 )
-from bitflow.bitcore import I8FeatureMap, pack_activations, pack_weights
+from bitflow.bitcore import TILE_BYTE_BUDGET, I8FeatureMap, pack_activations, pack_weights
 from bitflow.bnquant import LE, BNParams, ThresholdParams, compute_threshold
 
 # every narrow word width (8/16/32/64 bits) at and just past its capacity,

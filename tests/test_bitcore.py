@@ -64,9 +64,32 @@ class TestSaturate:
             tracemalloc.stop()
         assert peak < values.size * 1.25  # the int8 result (values.size bytes) and a buffer
 
+    def test_saturate_into_writes_the_given_buffer(self):
+        values = np.array([-300, -127, 5, 127, 300], dtype=np.int32)
+        out = np.full(5, 99, dtype=np.int8)
+        assert bitcore.saturate_into(values, out) is out
+        assert out.tolist() == [-127, -127, 5, 127, 127]
+
     def test_clip_free_is_at_most_the_range(self):
         assert bitcore.clip_free(72) and bitcore.clip_free(bitcore.I8_MAX)
         assert not bitcore.clip_free(bitcore.I8_MAX + 1)
+
+
+class TestBudgetSlices:
+    @pytest.mark.parametrize("rows", [1, 1000, 1024, 1025, 5000])
+    def test_cover_the_rows_in_budget_sized_steps(self, rows):
+        row_bytes = bitcore.TILE_BYTE_BUDGET // 1024  # 1024 rows a slab
+        slabs = bitcore.budget_slices(rows, row_bytes)
+        assert [s.start for s in slabs] == list(range(0, rows, 1024))
+        assert [s.stop - s.start for s in slabs[:-1]] == [1024] * (len(slabs) - 1)
+        assert slabs[-1].stop == rows
+
+    def test_a_row_over_the_budget_is_its_own_slab(self):
+        slabs = bitcore.budget_slices(3, 2 * bitcore.TILE_BYTE_BUDGET)
+        assert slabs == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_no_rows_make_one_empty_slice(self):
+        assert bitcore.budget_slices(0, 64) == [slice(0, 0)]
 
 
 class TestPacking:

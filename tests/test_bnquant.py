@@ -1,11 +1,19 @@
 """Tests for batch-norm math: float reference, thresholds, fixed point."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bitflow import bnquant
 from bitflow.binconv import ConvSpec
-from bitflow.bitcore import I8FeatureMap, pack_weights, unpack_bits
+from bitflow.bitcore import (
+    TILE_BYTE_BUDGET,
+    I8FeatureMap,
+    pack_bitplanes,
+    pack_weights,
+    unpack_bits,
+)
 from bitflow.bnquant import (
     GE,
     LE,
@@ -96,14 +104,27 @@ class TestComputeThreshold:
         assert unpack_bits(apply_threshold(x, t))[0, 0, 0, 0] == -1
 
     def test_constant_channels_are_those_beyond_the_clipped_range(self):
-        tau = np.array([-128, -127, 0, 127, 128, 5], dtype=np.int16)
-        t = ThresholdParams(tau, np.array([GE, LE, GE, GE, LE, GE], dtype=np.uint8))
-        assert t.constant_channels().tolist() == [0, 4]
+        # GE at -127 and LE at 127 hold for every input in [-127, 127]
+        tau = np.array([-128, -127, 0, 127, 128, 5, -127, 127], dtype=np.int16)
+        t = ThresholdParams(tau, np.array([GE, LE, GE, GE, LE, GE, GE, LE], dtype=np.uint8))
+        assert t.constant_channels().tolist() == [0, 4, 6, 7]
         x = I8FeatureMap(np.arange(-127, 128, dtype=np.int8).reshape(1, 255, 1, 1))
         for c in range(t.channels):
             one = ThresholdParams(tau[c : c + 1], t.direction[c : c + 1])
             bits = unpack_bits(apply_threshold(x, one))
-            assert (np.unique(bits).size == 1) == (c in (0, 4))
+            assert (np.unique(bits).size == 1) == (c in (0, 4, 6, 7))
+
+    def test_constant_channels_match_the_compare_for_every_tau(self):
+        tau = np.repeat(np.arange(-128, 129, dtype=np.int16), 2)
+        direction = np.tile(np.array([GE, LE], dtype=np.uint8), 257)
+        t = ThresholdParams(tau, direction)
+        grid = np.arange(-127, 128, dtype=np.int8)
+        x = I8FeatureMap(np.repeat(grid[:, None], 514, axis=1).reshape(1, 255, 1, 514))
+        bits = unpack_bits(apply_threshold(x, t)).reshape(255, 514)
+        constant = (bits == bits[0]).all(axis=0)
+        assert np.array_equal(t.constant_channels(), np.flatnonzero(constant))
+        pairs = {(int(tau[c]), int(direction[c])) for c in t.constant_channels()}
+        assert pairs == {(-128, GE), (-127, GE), (128, GE), (-128, LE), (127, LE), (128, LE)}
 
     def test_direction_other_than_ge_or_le_rejected(self):
         tau = np.zeros(2, dtype=np.int16)
@@ -350,3 +371,110 @@ class TestBnQForward:
         )
         got = bn_q_forward(x, qbn).values.ravel().tolist()
         assert got == [1, -1, 2, -2, 1, -1]
+
+    def test_matches_the_closed_form_for_every_input_and_width(self):
+        # edge tables in every (m, c) pair, wide random tables, and narrow
+        # ones that put many products on an exact rounding tie
+        rng = np.random.default_rng(0xB17)
+        edge = np.array([-32768, -1, 0, 1, 32767], dtype=np.int16)
+        m = np.concatenate([
+            np.repeat(edge, 5),
+            rng.integers(-32768, 32768, 20, dtype=np.int16),
+            rng.integers(-9, 10, 20, dtype=np.int16),
+        ])
+        c = np.concatenate([
+            np.tile(edge, 5),
+            rng.integers(-32768, 32768, 20, dtype=np.int16),
+            rng.integers(-300, 301, 20, dtype=np.int16),
+        ])
+        grid = np.arange(-127, 128, dtype=np.int8)
+        x = np.repeat(grid[:, None], m.size, axis=1).reshape(1, 255, 1, m.size)
+        for f in range(16):
+            got = bn_q_forward(I8FeatureMap(x), deploy_qbn(m, c, f)).values
+            assert np.array_equal(got, closed_form_bn_q(x, m, c, f)), f
+
+
+def deploy_qbn(m, c, f):
+    """Tables whose deployment pair is (m, c) at ``f`` fractional bits; the
+    parameter tables, which ``bn_q_forward`` never reads, repeat ``m``."""
+    fmt = QFormat(15 - f)
+    return bnquant.QBNParams(fmt, m, m, m, m, fmt, m, c)
+
+
+def closed_form_bn_q(x, m, c, f):
+    """``((|t| + half) >> f) * sign(t)`` for ``t = m*x + c`` in int64,
+    ``half = (1 << f) >> 1``, clipped to [-127, 127]."""
+    t = m.astype(np.int64) * x.astype(np.int64) + c.astype(np.int64)
+    y = ((np.abs(t) + ((1 << f) >> 1)) >> f) * np.sign(t)
+    return np.clip(y, -127, 127).astype(np.int8)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlabs:
+    """``bn_q_forward`` and ``apply_threshold`` walk the flattened
+    ``(pixels, channels)`` map in slabs of ``TILE_BYTE_BUDGET`` scratch. Each
+    value takes at least a byte of scratch, so a map of more values than the
+    budget has bytes spans more than one slab."""
+
+    C = 72  # two words per pixel, the second one partly padding
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # at least three slabs, and a prime excess so the last is ragged
+            (5 * TILE_BYTE_BUDGET // (2 * C) + 7, 1, 1, C),
+            # one image: the slabs cut its pixels
+            (1, 2, TILE_BYTE_BUDGET // (2 * C) + 13, C),
+        ],
+        ids=["images", "batch-1"],
+    )
+    def test_slabs_match_one_shot(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.integers(-127, 128, shape, dtype=np.int8)
+        assert x.size > TILE_BYTE_BUDGET
+        m = rng.integers(-32768, 32768, self.C, dtype=np.int16)
+        c = rng.integers(-32768, 32768, self.C, dtype=np.int16)
+        got = bn_q_forward(I8FeatureMap(x), deploy_qbn(m, c, 11)).values
+        assert np.array_equal(got, closed_form_bn_q(x, m, c, 11))
+        tau = rng.integers(-128, 129, self.C).astype(np.int16)
+        direction = rng.integers(0, 2, self.C).astype(np.uint8)
+        got = apply_threshold(I8FeatureMap(x), ThresholdParams(tau, direction)).words
+        want = pack_bitplanes(np.where(direction == LE, x <= tau, x >= tau))
+        assert np.array_equal(got, want)
+
+    def test_empty_maps_pass_through(self):
+        x = I8FeatureMap(np.zeros((0, 2, 2, self.C), dtype=np.int8))
+        m = np.ones(self.C, dtype=np.int16)
+        assert bn_q_forward(x, deploy_qbn(m, m, 3)).dims == (0, 2, 2, self.C)
+        t = ThresholdParams(np.zeros(self.C, dtype=np.int16), np.zeros(self.C, dtype=np.uint8))
+        assert apply_threshold(x, t).words.shape == (0, 2, 2, 2)
+
+    def test_working_set_stays_within_the_budget(self):
+        # the resnet-body map for batch norm, the vgg-toy stem's output
+        # at 32x32 for the threshold pack
+        rng = np.random.default_rng(12)
+        x = I8FeatureMap(rng.integers(-127, 128, (8, 14, 14, 256), dtype=np.int8))
+        qbn = deploy_qbn(
+            rng.integers(-32768, 32768, 256, dtype=np.int16),
+            rng.integers(-32768, 32768, 256, dtype=np.int16),
+            9,
+        )
+        peak = traced_peak(lambda: bn_q_forward(x, qbn))
+        assert peak <= x.values.nbytes + 1.5 * TILE_BYTE_BUDGET
+        x = I8FeatureMap(rng.integers(-127, 128, (100, 32, 32, 64), dtype=np.int8))
+        t = ThresholdParams(
+            rng.integers(-128, 129, 64).astype(np.int16), rng.integers(0, 2, 64).astype(np.uint8)
+        )
+        peak = traced_peak(lambda: apply_threshold(x, t))
+        assert peak <= 100 * 32 * 32 * 8 + 1.5 * TILE_BYTE_BUDGET  # one word a pixel

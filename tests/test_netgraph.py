@@ -632,6 +632,22 @@ class TestSerialization:
         with pytest.warns(RuntimeWarning):
             model_from_bytes(model_to_bytes(model))
 
+    def test_thresholds_at_the_clipped_edge_are_reported_constant(self):
+        # tau -127 on GE and 127 on LE: one answer over [-127, 127]
+        c = 3
+        blk = FloatBlock(
+            pack_weights(np.ones((c, 3, 3, c))),
+            ConvSpec(spatial_pad=(1, 1)),
+            BNParams(
+                np.array([1.0, -1.0, 1.0]), np.zeros(c), np.array([-127.5, 127.5, 0.0]), np.ones(c)
+            ),
+        )
+        terminal = FloatBlock(pack_weights(np.ones((c, 3, 3, c))), ConvSpec(spatial_pad=(1, 1)))
+        model, report = convert_model(Model([blk, terminal]), "vgg-threshold")
+        thr = model.blocks[0].thr
+        assert thr.tau.tolist() == [-127, 127, 0] and thr.direction.tolist() == [GE, LE, GE]
+        assert report.constant_channels == [(0, 0), (0, 1)]
+
     def test_zero_fraction_formats_roundtrip_and_run(self):
         # gamma 20000 and m = gamma/sigma 20000 need all 15 integer bits, so
         # both formats have 0 fractional bits and the residual byte reads 0

@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bitflow"
 ENGINE = {
     "conv_fused", "conv_i8", "conv_i32", "staged_conv_i8", "threshold_bits",
     "apply_threshold", "pack_bitplanes", "pack_activations", "run_model",
-    "run_vgg_block", "run_resnet_block", "saturate", "clip_free",
+    "run_vgg_block", "run_resnet_block", "saturate", "saturate_into", "clip_free",
 }
 
 # Functions that spell the clamp law's 127 themselves: the independent
