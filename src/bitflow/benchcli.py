@@ -247,8 +247,9 @@ def _build_workload(cfg: BenchConfig, seed: int):
 
 def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads: int):
     spec = cfg.spec
-    if variant == "i8-fused":
-        return lambda: conv_fused(x, None, kernel, spec, threads=threads)
+    if variant == "i8-fused":  # the fused form built once, untimed, as a block builds it
+        fused = binconv.fuse_kernel(kernel)
+        return lambda: conv_fused(x, None, fused, spec, threads=threads)
     if variant == "i32-staged":
         return lambda: staged_conv_i8(x, None, kernel, spec, threads=threads)
     if variant == "float-reference":  # signs and (K, out) weights built once, untimed
@@ -410,8 +411,9 @@ def fusion_sweep(rng, n_configs: int) -> SweepResult:
         if rng.random() < 0.5:
             thr = bnquant.compute_threshold(_random_bn(rng, cin, 5, 20, 5))
         staged = staged_conv_i8(x, thr, k, spec).values
+        fk = binconv.fuse_kernel(k)
         for tile in _FUSION_TILE_ROWS:
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile).values
+            fused = conv_fused(x, thr, fk, spec, tile_rows=tile).values
             checked += 1
             if not np.array_equal(fused, staged):
                 failure = f"config {i} tile {tile}: {_first_diff(fused, staged)}"

@@ -1,7 +1,8 @@
 """Binary direct convolution over bit-packed operands.
 
 The convolution is computed in place over the packed layout, one filter
-tap at a time, with no im2col/GEMM materialization. Per packed word the
+tap (or one group of taps) at a time, with no im2col/GEMM over unpacked
+values. Per packed word the
 +-1 dot product reduces to ``2 * match_count - bits_in_word``; summing
 over the receptive field and subtracting one fixed bias per output
 (:func:`_match_bias`, which also cancels the channel-pad matches) yields
@@ -16,8 +17,10 @@ Two output paths share that accumulation:
   clipping the final accumulator of a training-time forward pass).
 
 ``conv_fused`` collapses binarize/pad/convolve into one tiled pass over
-the input; tiling and worker count are pure performance knobs and never
-change results.
+the input. It runs on a kernel's fused form (:class:`FusedKernel`), which
+:func:`fuse_kernel` builds once from everything that depends only on the
+kernel; netgraph's blocks build it at construction. Tiles, tap groups and
+worker count are pure performance knobs and never change results.
 
 The dense reference ``conv_float_oracle`` is one 2-D float32 GEMM
 (:func:`gemm_rows`) over :func:`im2col` rows, the same rows and the same
@@ -25,18 +28,22 @@ product training uses.
 
 Both kernels count with ``np.bitwise_count``. The staged kernel counts
 bytes, folds each word's byte counts with one multiply-shift and widens
-every tap to int32. The fused kernel XORs each tap against every filter at
-once in ``(wps, A, B)`` buffers whose inner axis B is the longer of the
-tile's sites (also on a tie) and filters, as numpy pays a fixed cost per
-inner loop. A one-word site is held in the narrowest unsigned word that
-fits its channels, so the 8-channel stem XORs bytes. The filter sets its
-narrow types (:func:`_lane_types`): counts add across taps in uint8 lanes
-when all taps fit, else uint16, and sum over words into an int16
-accumulator when twice the matches fit, else int32. A one-word site that
-never drains mid-loop skips the word-axis sum, and the epilogue stays in
-the accumulator type, or in uint8 where the clamp cannot fire, so the
-stem never widens past 8 bits. Both kernels split output rows into spans
-with :func:`_run_row_spans`.
+every tap to int32. The fused kernel XORs a group of taps against every
+filter at once in ``(taps·wps, A, B)`` buffers whose inner axis B is the
+longer of the tile's sites (also on a tie) and filters, as numpy pays a
+fixed cost per inner loop, then counts and sums the group's taps in one
+call each. A group is one tap unless one tile covers every output row on
+one worker; then the budget that tile leaves picks the most taps that fit
+(:func:`tap_group`), so the batch-1 toy stem runs its 9 taps as one XOR,
+one count and one group sum. A one-word site is held in the narrowest
+unsigned word that fits its channels, so the 8-channel stem XORs bytes.
+The filter sets its narrow types (:func:`_lane_types`): counts add across
+taps in uint8 lanes when all taps fit, else uint16, and sum over words
+into an int16 accumulator when twice the matches fit, else int32. A
+one-word site that never drains mid-loop skips the word-axis sum, and the
+epilogue stays in the accumulator type, or in uint8 where the clamp
+cannot fire, so the stem never widens past 8 bits. Both kernels split
+output rows into spans with :func:`_run_row_spans`.
 """
 
 from __future__ import annotations
@@ -170,48 +177,61 @@ def _add_words(acc, lanes, acc_type):
     return part if acc is None else np.add(acc, part, out=acc)
 
 
-def _tile_matches(buf, kinv, fh, fw, sh, sw, oh, ow, lane, acc_type) -> np.ndarray:
-    """Match counts for one tile, accumulated across taps in ``lane`` lanes.
+def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
+    """Match counts for one tile, accumulated across taps in ``k.lane`` lanes.
 
-    The fused kernel's inner loop: XNOR, ``np.bitwise_count`` into bytes and
-    a lane-wise add. The lanes drain into ``acc_type`` by a word-axis sum
-    before a tap would overflow them (every ``iinfo(lane).max // lane_bits``
-    taps) and at the end, except that a one-word site that never drained
-    mid-loop returns its lanes themselves, with no sum. ``buf`` is
-    ``(wps, n, rows, w)``, kernel words ``(fh, fw, wps, out)``; each tap
-    copies its slab into one ``(wps, sites)`` block, and every buffer is
-    ``(wps, out, sites)`` when sites are at least as many as filters, else
-    ``(wps, sites, out)``. Returns ``(n, oh, ow, out)``, transposed if so.
-    ``buf`` and ``kinv`` share one unsigned word type of any width; the
-    counts include its channel-pad matches, which the caller's bias removes.
+    The fused kernel's inner loop, over groups of ``group`` taps in (i, j)
+    order (the last group may be shorter): it copies each of the group's
+    input slabs into one block, then makes one XNOR, one
+    ``np.bitwise_count`` into bytes and one sum over the group's taps into
+    the lanes; a group of one tap is the plain per-tap loop. The lanes
+    drain into ``k.acc`` by a word-axis sum before a group would take them
+    past ``k.lane_taps`` taps and at the end, except that a one-word site
+    that never drained mid-loop returns its lanes themselves, with no sum.
+    ``buf`` is ``(wps, n, rows, w)`` in ``k.word``; each tap's slab is one
+    ``(wps, sites)`` block, and a group's buffers are ``(group·wps, out,
+    sites)`` when sites are at least as many as filters, else
+    ``(group·wps, sites, out)``. Returns ``(n, oh, ow, out)``, transposed
+    if so. The counts include the word's channel-pad matches, which the
+    caller's bias removes.
     """
     wps, n = buf.shape[:2]
-    out, sites = kinv.shape[-1], n * oh * ow
-    block = np.empty((wps, n, oh, ow), dtype=buf.dtype)
+    fh, fw, _, out = k.kinv.shape
+    taps, sites = fh * fw, n * oh * ow
+    s_word, s_img, s_row, s_col = buf.strides
+    # every tap's (wps, n, oh, ow) slab of the tile, as one strided view
+    slabs = np.ndarray(
+        (fh, fw, wps, n, oh, ow), buf.dtype, buf, 0,
+        (s_row, s_col, s_word, s_img, sh * s_row, sw * s_col),
+    )
+    block = np.empty((group * wps, sites), dtype=buf.dtype)
+    gathered = block.reshape(group, wps, n, oh, ow)
+    kinv = k.kinv.reshape(taps * wps, out)
     if sites >= out:
-        x, kin, shape = block.reshape(wps, 1, sites), kinv[..., None], (wps, out, sites)
+        x, kin, shape = block[:, None, :], kinv[..., None], (wps, out, sites)
     else:
-        x, kin, shape = block.reshape(wps, sites, 1), kinv[..., None, :], (wps, sites, out)
-    drain_taps = np.iinfo(lane).max // (8 * buf.itemsize)
-    xbuf = np.empty(shape, dtype=buf.dtype)
-    counts = np.empty(shape, dtype=np.uint8)
-    lanes = np.zeros(shape, dtype=lane)
+        x, kin, shape = block[..., None], kinv[:, None, :], (wps, sites, out)
+    xbuf = np.empty((group * wps, *shape[1:]), dtype=buf.dtype)
+    counts = np.empty(xbuf.shape, dtype=np.uint8)
+    lanes = np.zeros(shape, dtype=k.lane)
     acc = None
-    pending = 0
-    for i in range(fh):
-        for j in range(fw):
-            if pending == drain_taps:  # full, and another tap is due
-                acc = _add_words(acc, lanes, acc_type)
-                lanes.fill(0)
-                pending = 0
-            block[...] = buf[
-                :, :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw
-            ]
-            np.bitwise_xor(x, kin[i, j], out=xbuf)
-            np.bitwise_count(xbuf, out=counts)
-            lanes += counts
-            pending += 1
-    acc = lanes[0] if acc is None and wps == 1 else _add_words(acc, lanes, acc_type)
+    pending = 0  # taps in the lanes
+    for t0 in range(0, taps, group):
+        g = min(group, taps - t0)
+        if pending + g > k.lane_taps:  # the group would overflow the lanes
+            acc = _add_words(acc, lanes, k.acc)
+            lanes.fill(0)
+            pending = 0
+        for t in range(g):
+            gathered[t] = slabs[divmod(t0 + t, fw)]
+        m = g * wps
+        xs, xg, cg = (x, xbuf, counts) if g == group else (x[:m], xbuf[:m], counts[:m])
+        np.bitwise_xor(xs, kin[t0 * wps : t0 * wps + m], out=xg)
+        np.bitwise_count(xg, out=cg)
+        # one tap's counts are its own sum (a length-1 reduce costs more than the add)
+        lanes += cg if g == 1 else np.add.reduce(cg.reshape(g, *shape), axis=0, dtype=k.lane)
+        pending += g
+    acc = lanes[0] if acc is None and wps == 1 else _add_words(acc, lanes, k.acc)
     if sites >= out:
         return acc.reshape(out, n, oh, ow).transpose(1, 2, 3, 0)
     return acc.reshape(n, oh, ow, out)
@@ -278,81 +298,148 @@ def _lane_types(fh: int, fw: int, word: np.dtype, wps: int) -> tuple[np.dtype, n
     return lane, acc
 
 
-def default_tile_rows(x_dims, k: PackedKernelSet, spec: ConvSpec) -> int:
-    """Output rows per tile so one tile's buffers, over the whole batch, fit
-    the cache budget: per output row the XOR, count and lane buffers of
-    :func:`_tile_matches` (word, 1 and lane bytes per word) and its
-    accumulator, plus the packed input rows the tile reads and the kernel."""
-    n, _, ow, out = output_shape(x_dims, k.dims, spec)
-    _, _, w, cin = x_dims
-    _, fh, fw, _ = k.dims
-    sh, pw, wps = spec.stride[0], spec.spatial_pad[1], k.words_per_site
+@dataclass(frozen=True, eq=False)
+class FusedKernel:
+    """A kernel set in the form :func:`conv_fused` runs, built once by
+    :func:`fuse_kernel`; everything in it depends only on the kernel.
+
+    ``kinv`` holds the bit-inverted kernel words in ``(fh, fw, wps, out)``
+    order, narrowed to the site ``word``, so XOR against the input is XNOR
+    against the kernel. ``lane`` and ``acc`` are the lane and accumulator
+    types, and a lane holds ``lane_taps`` taps before it must drain. The
+    epilogue subtracts ``bias``; where ``wrap`` holds, no output can clip
+    and it runs wrapped in uint8.
+    """
+
+    dims: tuple[int, int, int, int]
+    kinv: np.ndarray
+    word: np.dtype
+    lane: np.dtype
+    acc: np.dtype
+    lane_taps: int
+    bias: int
+    wrap: bool
+
+    @property
+    def words_per_site(self) -> int:
+        return self.kinv.shape[2]
+
+
+def fuse_kernel(k: PackedKernelSet) -> FusedKernel:
+    """The fused form of ``k``: one narrowed copy of its words plus the
+    types and constants :func:`conv_fused` needs, so no call derives them."""
+    _, fh, fw, cin = k.dims
+    wps = k.words_per_site
+    # a narrow word's high bits are pad matches, as in uint64
     word = _site_word(cin, wps)
     lane, acc = _lane_types(fh, fw, word, wps)
-    in_row = n * (w + 2 * pw) * wps * word.itemsize
-    per_word = word.itemsize + 1 + lane.itemsize
-    row_bytes = n * ow * out * (wps * per_word + acc.itemsize) + sh * in_row
-    fixed_bytes = k.words.size * word.itemsize + (fh - sh) * in_row
+    kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
+    kinv.setflags(write=False)
+    return FusedKernel(
+        dims=k.dims,
+        kinv=kinv,
+        word=word,
+        lane=lane,
+        acc=acc,
+        lane_taps=int(np.iinfo(lane).max) // (8 * word.itemsize),
+        bias=int(_match_bias(fh, fw, cin, 8 * word.itemsize * wps)),
+        # |2 * matches - bias| <= fh*fw*cin; where the clamp never fires, the
+        # low byte of 2 * matches - bias, wrapped in uint8, is the result
+        wrap=clip_free(fh * fw * cin),
+    )
+
+
+def _tile_bytes(x_dims, k: FusedKernel, spec: ConvSpec) -> tuple[int, int, int]:
+    """Scratch bytes of one fused tile over the whole batch: what every tile
+    holds (the kernel and the input rows neighbouring output rows share),
+    what each output row adds (:func:`_tile_matches`' XOR, count and lane
+    buffers at word, 1 and lane bytes per word, its accumulator and its
+    input rows), and what each output row adds per tap a group holds beyond
+    its first (that tap's slab, XOR and count words)."""
+    n, _, ow, out = output_shape(x_dims, k.dims, spec)
+    w = x_dims[2]
+    fh, sh, pw = k.dims[1], spec.stride[0], spec.spatial_pad[1]
+    wps, word = k.words_per_site, k.word.itemsize
+    in_row = n * (w + 2 * pw) * wps * word
+    row_bytes = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + k.acc.itemsize) + sh * in_row
+    fixed_bytes = k.kinv.size * word + (fh - sh) * in_row
+    tap_bytes = n * ow * wps * (out * (word + 1) + word)
+    return fixed_bytes, row_bytes, tap_bytes
+
+
+def default_tile_rows(x_dims, k: FusedKernel, spec: ConvSpec) -> int:
+    """Output rows per tile so one tile's scratch (:func:`_tile_bytes`), over
+    the whole batch, fits the cache budget."""
+    fixed_bytes, row_bytes, _ = _tile_bytes(x_dims, k, spec)
     return max(1, (TILE_BYTE_BUDGET - fixed_bytes) // row_bytes)
+
+
+def tap_group(x_dims, k: FusedKernel, spec: ConvSpec, tile_rows: int, threads: int = 1) -> int:
+    """Taps per group for tiles of ``tile_rows`` output rows: one, unless a
+    single tile covers every output row on one worker. Then the budget that
+    tile leaves picks the most taps whose group buffers fit
+    (:func:`_tile_bytes`), up to all fh*fw taps and ``k.lane_taps``, so a
+    group never overflows the lanes."""
+    oh = output_shape(x_dims, k.dims, spec)[1]
+    if tile_rows < oh or threads > 1:
+        return 1
+    fixed_bytes, row_bytes, tap_bytes = _tile_bytes(x_dims, k, spec)
+    spare = TILE_BYTE_BUDGET - fixed_bytes - oh * row_bytes
+    _, fh, fw, _ = k.dims
+    return max(1, min(fh * fw, k.lane_taps, 1 + spare // (oh * tap_bytes)))
 
 
 def conv_fused(
     x_prev: I8FeatureMap,
     thr: ThresholdParams | None,
-    k: PackedKernelSet,
+    k: FusedKernel,
     spec: ConvSpec,
     tile_rows: int | None = None,
     threads: int = 1,
 ) -> I8FeatureMap:
     """Fused binarize/pad/convolve with clipped 8-bit output.
 
-    ``thr`` binarizes the 8-bit input per channel (threshold comparison);
-    when absent the input is binarized by sign. The result is bit-identical
-    to the staged pipeline (binarize, pack, pad, conv_i8) for every tile
-    size and worker count; tiles only bound the working set.
+    ``k`` is the kernel's fused form (:func:`fuse_kernel`). ``thr``
+    binarizes the 8-bit input per channel (threshold comparison); when
+    absent the input is binarized by sign. The result is bit-identical to
+    the staged pipeline (binarize, pack, pad, conv_i8) for every tile size,
+    tap group and worker count; tiles and groups only bound the working set.
     """
     if thr is not None and thr.channels != x_prev.channels:
         raise ValueError(
             f"threshold channels {thr.channels} != input channels {x_prev.channels}"
         )
-    n, h, w, cin = x_prev.dims
+    n, h, w, _ = x_prev.dims
     _, oh, ow, out = output_shape(x_prev.dims, k.dims, spec)
-    _, fh, fw, _ = k.dims
+    fh = k.dims[1]
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     wps = k.words_per_site
     if tile_rows is None:  # the budget's tile, at most one worker's share
         tile_rows = min(default_tile_rows(x_prev.dims, k, spec), -(-oh // max(threads, 1)))
     tile_rows = max(1, min(tile_rows, oh))
-    # a narrow word's high bits are pad matches, as in uint64
-    word = _site_word(cin, wps)
-    lane, acc_type = _lane_types(fh, fw, word, wps)
-    bias = int(_match_bias(fh, fw, cin, 8 * word.itemsize * wps))
-    # |2 * matches - bias| <= fh*fw*cin; where the clamp never fires, the low
-    # byte of 2 * matches - bias, wrapped in uint8, is the result
-    wrap = clip_free(fh * fw * cin)
-    kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
+    group = tap_group(x_prev.dims, k, spec, tile_rows, threads)
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
     def run_tile(y0, y1):
         r0, r1 = y0 * sh, (y1 - 1) * sh + fh  # padded input row range
-        buf = np.zeros((wps, n, r1 - r0, w + 2 * pw), dtype=word)
+        buf = np.zeros((wps, n, r1 - r0, w + 2 * pw), dtype=k.word)
         lo, hi = max(r0, ph), min(r1, ph + h)
         if hi > lo:
             rows = x_prev.values[:, lo - ph : hi - ph, :, :]
             bits = (rows >= 0) if thr is None else threshold_bits(rows, thr)
             # narrowing drops only zero channel-pad bits
             buf[:, :, lo - r0 : hi - r0, pw : pw + w] = pack_bitplanes(bits).transpose(3, 0, 1, 2)
-        acc = _tile_matches(buf, kinv, fh, fw, sh, sw, y1 - y0, ow, lane, acc_type)
+        acc = _tile_matches(buf, k, sh, sw, y1 - y0, ow, group)
         # in the lanes' memory order, then one (maybe transposed) copy out
-        y = acc.astype(np.uint8 if wrap else acc_type, copy=False)
+        y = acc.astype(np.uint8 if k.wrap else k.acc, copy=False)
         y *= 2
-        if wrap:
-            y -= np.uint8(bias & 0xFF)
+        if k.wrap:
+            y -= np.uint8(k.bias & 0xFF)
         else:
-            y -= bias
+            y -= k.bias
             np.clip(y, -I8_MAX, I8_MAX, out=y)
-        result[:, y0:y1] = y.view(np.int8) if wrap else y  # a cast-free copy when it wraps
+        result[:, y0:y1] = y.view(np.int8) if k.wrap else y  # a cast-free copy when it wraps
 
     _run_row_spans(oh, tile_rows, threads, run_tile)
     return I8FeatureMap(result)

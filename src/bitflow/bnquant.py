@@ -22,7 +22,7 @@ representation unaltered.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,11 +74,16 @@ class ThresholdParams:
     ``tau`` lies in [-128, +128]. ``direction`` is GE where gamma/sigma >= 0
     and LE where it is negative. A GE channel with tau <= -127 or tau = 128,
     and an LE channel with tau = -128 or tau >= 127, is constant over the
-    clipped 8-bit input (:meth:`constant_channels`).
+    clipped 8-bit input (:meth:`constant_channels`). Both tables are
+    read-only once checked, and construction prepares what
+    :func:`threshold_bits` compares with: ``le``, True on LE channels, and
+    ``i8_limits``, :meth:`limits` clipped to int8.
     """
 
     tau: np.ndarray  # int16
     direction: np.ndarray  # uint8, GE/LE
+    le: np.ndarray = field(init=False, repr=False)
+    i8_limits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tau.shape != self.direction.shape or self.tau.ndim != 1:
@@ -89,6 +94,13 @@ class ThresholdParams:
             raise ValueError("tau out of [-128, 128]")
         if (self.direction > LE).any():
             raise ValueError("invalid threshold direction flags")
+        le = self.direction == LE
+        # two ufuncs, not np.clip, whose wrapper costs more than the clip here
+        limits = np.minimum(np.maximum(self.limits(), _I8.min), _I8.max).astype(np.int8)
+        for a in (self.tau, self.direction, le, limits):
+            a.setflags(write=False)
+        object.__setattr__(self, "le", le)
+        object.__setattr__(self, "i8_limits", limits)
 
     @property
     def channels(self) -> int:
@@ -212,14 +224,11 @@ def threshold_bits(values: np.ndarray, t: ThresholdParams) -> np.ndarray:
     with ``le`` = 1 on LE channels both read ``(x > tau - 1 + le) ^ le``
     (:meth:`ThresholdParams.limits`). The limit clips to int8 without
     changing any decision, because ``values`` lies in [-127, 127] (the
-    :class:`I8FeatureMap` invariant).
+    :class:`I8FeatureMap` invariant); ``t`` holds the clipped limits and
+    the LE mask ready, as ``apply_threshold`` calls this once a slab.
     """
-    le = t.direction == LE
-    # two ufuncs, not np.clip, whose wrapper costs more than the compare on
-    # a batch-1 map; apply_threshold calls this once a slab
-    limit = np.minimum(np.maximum(t.limits(), _I8.min), _I8.max).astype(np.int8)
-    bits = values > limit
-    return np.bitwise_xor(bits, le, out=bits)
+    bits = values > t.i8_limits
+    return np.bitwise_xor(bits, t.le, out=bits)
 
 
 def apply_threshold(x: I8FeatureMap, t: ThresholdParams) -> BitPlaneTensor:

@@ -41,11 +41,19 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binconv import ConvSpec, conv_fused, conv_i8, conv_float_oracle, output_shape
+from .binconv import (
+    ConvSpec,
+    FusedKernel,
+    conv_float_oracle,
+    conv_fused,
+    conv_i8,
+    fuse_kernel,
+    output_shape,
+)
 from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
@@ -97,10 +105,14 @@ def _check_identity_shortcut(kernel: PackedKernelSet, spec: ConvSpec) -> None:
 class _Block:
     """A convolution; each subclass adds its one table field (``_LAYOUT``).
     Padding stays below and stride at most the filter size, so every window
-    reads input and no input pixel falls between two windows."""
+    reads input and no input pixel falls between two windows. Blocks the
+    engine runs build their kernel's fused form (``binconv.fuse_kernel``)
+    once, here, whether made in memory or read from a file; the form is
+    not part of the file."""
 
     kernel: PackedKernelSet
     spec: ConvSpec
+    fused: FusedKernel | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         filt, spec = self.kernel.dims[1:3], self.spec
@@ -108,11 +120,13 @@ class _Block:
             raise GraphError(f"padding {spec.spatial_pad} must be below the filter size {filt}")
         if any(s > f for s, f in zip(spec.stride, filt)):
             raise GraphError(f"stride {spec.stride} must not exceed the filter size {filt}")
-        field = _LAYOUT[type(self)][1]
-        tables = getattr(self, field)
+        name = _LAYOUT[type(self)][1]
+        tables = getattr(self, name)
         if tables is not None and tables.channels != self.kernel.out_channels:
-            raise GraphError(f"{field} channels {tables.channels} != "
+            raise GraphError(f"{name} channels {tables.channels} != "
                              f"conv output channels {self.kernel.out_channels}")
+        if not isinstance(self, FloatBlock):  # float blocks never run on the engine
+            object.__setattr__(self, "fused", fuse_kernel(self.kernel))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +183,7 @@ def run_vgg_block(x, b: VggBlock, threads: int = 1):
     if isinstance(x, BitPlaneTensor):
         y = conv_i8(x, b.kernel, b.spec, threads=threads)
     elif isinstance(x, I8FeatureMap):
-        y = conv_fused(x, None, b.kernel, b.spec, threads=threads)
+        y = conv_fused(x, None, b.fused, b.spec, threads=threads)
     else:
         raise GraphError(f"unsupported block input {type(x).__name__}")
     if b.thr is None:
@@ -184,16 +198,18 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
             "residual blocks need an 8-bit input; the previous block emits "
             f"{type(x).__name__}"
         )
-    y = conv_fused(x, None, b.kernel, b.spec, threads=threads)
+    y = conv_fused(x, None, b.fused, b.spec, threads=threads)
     z = bn_q_forward(y, b.qbn)
     return I8FeatureMap.saturate(np.add(z.values, x.values, dtype=np.int16))
 
 
 def block_shapes(model: Model, input_dims) -> list:
     """Each block's output dims for an NHWC input of ``input_dims``; raises
-    GraphError where ``run_model`` cannot run: a float block, a residual
-    block after packed bits, a last block not emitting 8 bits, or a shape
-    ``output_shape`` rejects."""
+    GraphError where ``run_model`` cannot run: a batch below one, a float
+    block, a residual block after packed bits, a last block not emitting
+    8 bits, or a shape ``output_shape`` rejects."""
+    if input_dims[0] < 1:
+        raise GraphError(f"input batch must be at least 1, got {input_dims[0]}")
     dims, shapes = input_dims, []
     packed = False  # the previous block emits packed bits
     for i, blk in enumerate(model.blocks):
@@ -322,8 +338,8 @@ _BY_TAG = {tag: cls for cls, (tag, _, _) in _LAYOUT.items()}
 
 
 def _block_bytes(blk) -> bytes:
-    tag, field, tables = _LAYOUT[type(blk)]
-    k, spec, params = blk.kernel, blk.spec, getattr(blk, field)
+    tag, name, tables = _LAYOUT[type(blk)]
+    k, spec, params = blk.kernel, blk.spec, getattr(blk, name)
     out = struct.pack("<B4I4I", tag, *k.dims, *spec.stride, *spec.spatial_pad)
     out += k.words.astype("<u8").tobytes()
     if params is None:

@@ -11,10 +11,13 @@ from bitflow.binconv import (
     conv_i8,
     conv_i32,
     default_tile_rows,
+    fuse_kernel,
     gemm_rows,
     output_shape,
     staged_conv_i8,
+    tap_group,
 )
+from bitflow.benchcli import _build_workload, default_suite, fusion_sweep
 from bitflow.bitcore import TILE_BYTE_BUDGET, I8FeatureMap, pack_activations, pack_weights
 from bitflow.bnquant import LE, BNParams, ThresholdParams, compute_threshold
 
@@ -381,12 +384,13 @@ class TestConvI8:
         assert out.values[0, 0, 0, 0] == 100
 
 
-def fused_tile_bytes(x_dims, k, spec, rows):
+def fused_tile_bytes(x_dims, k, spec, rows, group=1):
     """Working set of one fused tile of ``rows`` output rows: the packed
     input rows it reads, the kernel, and per output word the XOR (one word),
     count (1 byte) and lane buffers, plus the accumulator. A lane is 1 byte
     while the filter's taps add at most 255 matches to it, else 2; the
-    accumulator 2 bytes while twice a site's matches stay below 2**15, else 4."""
+    accumulator 2 bytes while twice a site's matches stay below 2**15, else 4.
+    Each tap of a ``group`` beyond the first adds its slab, XOR and count."""
     n, _, ow, out = output_shape(x_dims, k.dims, spec)
     _, _, w, cin = x_dims
     _, fh, fw, _ = k.dims
@@ -396,7 +400,8 @@ def fused_tile_bytes(x_dims, k, spec, rows):
     acc = 2 if 2 * fh * fw * 8 * word * wps < 1 << 15 else 4
     in_rows = (rows - 1) * spec.stride[0] + fh
     packed = (in_rows * n * (w + 2 * spec.spatial_pad[1]) + fh * fw * out) * wps * word
-    return packed + rows * n * ow * out * (wps * (word + 1 + lane) + acc)
+    grouped = (group - 1) * rows * n * ow * wps * (out * (word + 1) + word)
+    return packed + rows * n * ow * out * (wps * (word + 1 + lane) + acc) + grouped
 
 
 def assert_tile_fits_budget(x_dims, k, spec, rows):
@@ -421,7 +426,7 @@ class TestConvFused:
         # 7x7x3 input, two 3x3 kernels, no padding -> 5x5x2
         x = I8FeatureMap(np.ones((1, 7, 7, 3), dtype=np.int8))
         k = pack_weights(np.ones((2, 3, 3, 3)))
-        out = conv_fused(x, None, k, ConvSpec())
+        out = conv_fused(x, None, fuse_kernel(k), ConvSpec())
         assert out.dims == (1, 5, 5, 2)
 
     def test_whole_image_tile_matches_staged(self):
@@ -430,7 +435,7 @@ class TestConvFused:
         x = I8FeatureMap(vals)
         k = pack_weights(rng.standard_normal((3, 3, 3, 12)))
         spec = ConvSpec(spatial_pad=(1, 1))
-        fused = conv_fused(x, None, k, spec, tile_rows=10_000)
+        fused = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=10_000)
         assert np.array_equal(fused.values, staged_conv_i8(x, None, k, spec).values)
 
     @pytest.mark.parametrize("tile_rows", [1, 2, 4, None])
@@ -442,7 +447,7 @@ class TestConvFused:
             k = pack_weights(rng.standard_normal((4, 3, 3, 20)))
             spec = ConvSpec(stride=(2, 1), spatial_pad=(1, 1))
             thr = self._random_threshold(rng, 20)
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows)
+            fused = conv_fused(x, thr, fuse_kernel(k), spec, tile_rows=tile_rows)
             staged = staged_conv_i8(x, thr, k, spec)
             assert np.array_equal(fused.values, staged.values)
 
@@ -452,8 +457,8 @@ class TestConvFused:
         x = I8FeatureMap(vals)
         k = pack_weights(rng.standard_normal((6, 3, 3, 33)))
         spec = ConvSpec(spatial_pad=(1, 1))
-        base = conv_fused(x, None, k, spec, tile_rows=3).values
-        got = conv_fused(x, None, k, spec, tile_rows=3, threads=4).values
+        base = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=3).values
+        got = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=3, threads=4).values
         assert np.array_equal(got, base)
 
     def test_threshold_shape_mismatch(self):
@@ -462,15 +467,15 @@ class TestConvFused:
         k = pack_weights(rng.standard_normal((2, 3, 3, 8)))
         thr = self._random_threshold(rng, 5)
         with pytest.raises(ValueError):
-            conv_fused(x, thr, k, ConvSpec())
+            conv_fused(x, thr, fuse_kernel(k), ConvSpec())
 
     def test_default_tile_rows_positive(self):
-        k = pack_weights(np.ones((64, 3, 3, 256)))
+        k = fuse_kernel(pack_weights(np.ones((64, 3, 3, 256))))
         assert default_tile_rows((1, 56, 56, 256), k, ConvSpec(spatial_pad=(1, 1))) >= 1
 
     def test_default_tile_rows_counts_batch(self):
         # the toy-VGG stem: 16x16x8 input, 64 3x3 filters
-        k = pack_weights(np.ones((64, 3, 3, 8)))
+        k = fuse_kernel(pack_weights(np.ones((64, 3, 3, 8))))
         spec = ConvSpec(spatial_pad=(1, 1))
         batches = (1, 2, 8, 100, 400)
         picks = [default_tile_rows((n, 16, 16, 8), k, spec) for n in batches]
@@ -480,18 +485,23 @@ class TestConvFused:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_default_tiles_split_rows_among_workers(self, monkeypatch, threads):
-        # the budget fits all 4 output rows in one tile; workers split them
-        rows = []
+        # the budget fits all 4 output rows in one tile; workers split them,
+        # and only the one covering tile groups taps
+        tiles = []
         real = binconv._tile_matches
-        monkeypatch.setattr(
-            binconv, "_tile_matches", lambda *a: rows.append(a[6]) or real(*a)
-        )
+
+        def spy(buf, k, sh, sw, oh, ow, group):
+            tiles.append((oh, group))
+            return real(buf, k, sh, sw, oh, ow, group)
+
+        monkeypatch.setattr(binconv, "_tile_matches", spy)
         x = I8FeatureMap(np.ones((1, 4, 4, 256), dtype=np.int8))
-        k = pack_weights(np.ones((256, 3, 3, 256)))
+        k = fuse_kernel(pack_weights(np.ones((256, 3, 3, 256))))
         spec = ConvSpec(spatial_pad=(1, 1))
         assert default_tile_rows(x.dims, k, spec) >= 4
         conv_fused(x, None, k, spec, threads=threads)
-        assert rows == {1: [4], 2: [2, 2], 4: [1, 1, 1, 1]}[threads]
+        assert [oh for oh, _ in tiles] == {1: [4], 2: [2, 2], 4: [1, 1, 1, 1]}[threads]
+        assert all((group > 1) == (threads == 1) for _, group in tiles)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 100])
     @pytest.mark.parametrize(
@@ -499,7 +509,7 @@ class TestConvFused:
         [(14, 256, 256, 3, 1), (28, 128, 256, 3, 2), (16, 64, 64, 8, 8), (9, 20, 7, 1, 2)],
     )
     def test_default_tile_rows_fill_the_budget(self, n, hw, cin, out, f, stride):
-        k = pack_weights(np.ones((out, f, f, cin)))
+        k = fuse_kernel(pack_weights(np.ones((out, f, f, cin))))
         spec = ConvSpec(stride=(stride, stride), spatial_pad=(f // 2, f // 2))
         rows = default_tile_rows((n, hw, hw, cin), k, spec)
         assert_tile_fits_budget((n, hw, hw, cin), k, spec, rows)
@@ -510,7 +520,7 @@ class TestConvFused:
         x = I8FeatureMap(np.ones((2, 16, 16, 1), dtype=np.int8))
         k = pack_weights(np.ones((3, 8, 8, 1)))
         spec = ConvSpec(stride=(8, 8))
-        fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+        fused = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=tile_rows).values
         assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
         assert (fused == 64).all()
 
@@ -525,7 +535,7 @@ class TestConvFused:
             spec = ConvSpec(stride=(stride, stride), spatial_pad=(1, 1))
             thr = self._random_threshold(rng, cin)
             for t in (thr, None):
-                fused = conv_fused(x, t, k, spec, tile_rows=tile_rows)
+                fused = conv_fused(x, t, fuse_kernel(k), spec, tile_rows=tile_rows)
                 assert np.array_equal(fused.values, staged_conv_i8(x, t, k, spec).values)
 
     @pytest.mark.parametrize("tile_rows", [1, None])
@@ -538,7 +548,7 @@ class TestConvFused:
         k = pack_weights(w)
         spec = ConvSpec(stride=(2, 1), spatial_pad=(1, 1))
         for thr in (None, self._random_threshold(rng, cin)):
-            fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+            fused = conv_fused(x, thr, fuse_kernel(k), spec, tile_rows=tile_rows).values
             assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
             assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
 
@@ -551,7 +561,7 @@ class TestConvFused:
         for sign in (1, -1):
             w = sign * np.ones((2, 5, 5, cin), dtype=np.int8)
             k = pack_weights(w)
-            fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+            fused = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=tile_rows).values
             assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
             assert np.array_equal(fused, oracle_i8(x.values, None, w, spec))
             assert (fused == np.clip(sign * 25 * cin, -127, 127)).all()
@@ -568,7 +578,7 @@ class TestConvFused:
         for n in (1, 3):
             x = I8FeatureMap(np.ones((n, 1, 1100, 64), dtype=np.int8))
             for thr in (None, always):
-                fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+                fused = conv_fused(x, thr, fuse_kernel(k), spec, tile_rows=tile_rows).values
                 assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
                 assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
                 assert (fused == 127).all()
@@ -600,7 +610,7 @@ class TestConvFused:
         monkeypatch.setattr(binconv, "_add_words", lambda *a: calls.append(1) or real(*a))
         x = I8FeatureMap(np.ones((1, fh, fw, cin), dtype=np.int8))
         w = np.ones((2, fh, fw, cin), dtype=np.int8)
-        fused = conv_fused(x, None, pack_weights(w), ConvSpec()).values
+        fused = conv_fused(x, None, fuse_kernel(pack_weights(w)), ConvSpec()).values
         assert len(calls) == sums
         assert (fused == min(fh * fw * cin, 127)).all()
 
@@ -617,7 +627,7 @@ class TestConvFused:
             w = rng.choice([-1, 1], size=(out, fh, fw, cin)).astype(np.int8)
             k = pack_weights(w)
             for thr in (None, self._random_threshold(rng, cin)):
-                fused = conv_fused(x, thr, k, spec, tile_rows=tile_rows).values
+                fused = conv_fused(x, thr, fuse_kernel(k), spec, tile_rows=tile_rows).values
                 assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
                 assert np.array_equal(fused, oracle_i8(vals, thr, w, spec))
 
@@ -630,7 +640,7 @@ class TestConvFused:
         for sign in (1, -1):
             w = sign * np.ones((2, fh, fw, cin), dtype=np.int8)
             k = pack_weights(w)
-            fused = conv_fused(x, None, k, spec, tile_rows=tile_rows).values
+            fused = conv_fused(x, None, fuse_kernel(k), spec, tile_rows=tile_rows).values
             assert np.array_equal(fused, staged_conv_i8(x, None, k, spec).values)
             assert np.array_equal(fused, oracle_i8(x.values, None, w, spec))
             assert (fused == np.clip(sign * fh * fw * cin, -127, 127)).all()
@@ -654,6 +664,158 @@ class TestConvFused:
             k = pack_weights(w)
             spec = ConvSpec(stride=stride, spatial_pad=(fh // 2, fw // 2))
             for t in (None, thr):
-                fused = conv_fused(x, t, k, spec, tile_rows=tile_rows, threads=threads).values
+                fk = fuse_kernel(k)
+                fused = conv_fused(x, t, fk, spec, tile_rows=tile_rows, threads=threads).values
                 assert np.array_equal(fused, staged_conv_i8(x, t, k, spec).values)
                 assert np.array_equal(fused, oracle_i8(vals, t, w, spec))
+
+
+def spy_groups(monkeypatch, force=None):
+    """Record (rows, group) of every fused tile; ``force`` replaces the
+    chosen group with that many taps."""
+    tiles = []
+    real = binconv._tile_matches
+
+    def spy(buf, k, sh, sw, oh, ow, group):
+        group = group if force is None else force
+        tiles.append((oh, group))
+        return real(buf, k, sh, sw, oh, ow, group)
+
+    monkeypatch.setattr(binconv, "_tile_matches", spy)
+    return tiles
+
+
+class TestTapGroups:
+    # 1 to 65 channels: uint8, uint16, uint32 and uint64 site words, one and
+    # two words per site
+    @pytest.mark.parametrize("cin", [1, 8, 9, 16, 17, 32, 33, 64, 65])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_covering_tile_groups_match_staged_and_two_tiles(self, monkeypatch, cin, stride):
+        # one tile covering every row groups its taps; two tiles run one a group
+        tiles = spy_groups(monkeypatch)
+        rng = np.random.default_rng(cin * 10 + stride)
+        vals = rng.integers(-127, 128, size=(2, 7, 6, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        w = rng.choice([-1, 1], size=(5, 3, 3, cin)).astype(np.int8)
+        k = pack_weights(w)
+        spec = ConvSpec(stride=(stride, stride), spatial_pad=(1, 1))
+        oh = output_shape(x.dims, k.dims, spec)[1]
+        thr = TestConvFused()._random_threshold(rng, cin)
+        for t in (None, thr):
+            staged = staged_conv_i8(x, t, k, spec).values
+            for tile_rows in (oh, oh - 1):
+                tiles.clear()
+                fused = conv_fused(x, t, fuse_kernel(k), spec, tile_rows=tile_rows).values
+                assert np.array_equal(fused, staged)
+                assert np.array_equal(fused, oracle_i8(vals, t, w, spec))
+                assert tiles == ([(oh, 9)] if tile_rows == oh else [(oh - 1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("group", [1, 2, 4, 5, 8, 9])
+    @pytest.mark.parametrize("cin", [8, 64, 65])
+    def test_every_group_size_matches_staged(self, monkeypatch, group, cin):
+        # groups that split filter rows, end short, or take every tap
+        tiles = spy_groups(monkeypatch, force=group)
+        rng = np.random.default_rng(group * 100 + cin)
+        vals = rng.integers(-127, 128, size=(1, 6, 7, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        for out in (3, 40):  # fewer filters than sites, then more
+            w = rng.choice([-1, 1], size=(out, 3, 3, cin)).astype(np.int8)
+            k = pack_weights(w)
+            spec = ConvSpec(stride=(1, 2), spatial_pad=(1, 1))
+            for t in (None, TestConvFused()._random_threshold(rng, cin)):
+                fused = conv_fused(x, t, fuse_kernel(k), spec).values
+                assert np.array_equal(fused, staged_conv_i8(x, t, k, spec).values)
+                assert np.array_equal(fused, oracle_i8(vals, t, w, spec))
+        assert {g for _, g in tiles} == {group}
+
+    @pytest.mark.parametrize("fw,lane", [(31, np.uint8), (32, np.uint16)])
+    def test_one_group_at_the_uint8_lane_limit(self, monkeypatch, fw, lane):
+        # 8-channel sites: uint8 lanes hold 31 taps' 248 matches, so a 1x31
+        # filter sums in one uint8 group; a 1x32 one needs uint16 lanes
+        tiles = spy_groups(monkeypatch)
+        k = fuse_kernel(pack_weights(np.ones((2, 1, fw, 8))))
+        assert k.lane == lane
+        for n, sign in ((1, 1), (3, -1)):  # filters innermost, then sites
+            x = I8FeatureMap(sign * np.ones((n, 2, fw, 8), dtype=np.int8))
+            w = np.ones((2, 1, fw, 8), dtype=np.int8)
+            tiles.clear()
+            fused = conv_fused(x, None, k, ConvSpec()).values
+            assert tiles == [(2, fw)]
+            assert np.array_equal(fused, staged_conv_i8(x, None, pack_weights(w), ConvSpec()).values)
+            assert (fused == sign * 127).all()
+
+    @pytest.mark.parametrize(
+        "taps,group,sums",
+        [(1023, 1023, 0), (1023, 512, 0), (1024, 512, 2), (1100, 1023, 2), (1100, 550, 2)],
+    )
+    def test_uint16_lanes_drain_between_groups(self, monkeypatch, taps, group, sums):
+        # 64-bit words: uint16 lanes hold 1023 taps. Groups that fill them
+        # exactly never drain; one more tap drains before the next group
+        # (then the end sums again). All taps match, so a lane that wrapped
+        # at 65,536 would give -127, not +127
+        tiles = spy_groups(monkeypatch, force=group)
+        calls = []
+        real = binconv._add_words
+        monkeypatch.setattr(binconv, "_add_words", lambda *a: calls.append(1) or real(*a))
+        w = np.ones((2, 1, taps, 64), dtype=np.int8)
+        k = pack_weights(w)
+        assert fuse_kernel(k).lane_taps == 1023
+        always = ThresholdParams(np.full(64, -3, dtype=np.int16), np.zeros(64, dtype=np.uint8))
+        for n in (1, 3):
+            x = I8FeatureMap(np.ones((n, 1, taps, 64), dtype=np.int8))
+            for thr in (None, always):
+                calls.clear()
+                fused = conv_fused(x, thr, fuse_kernel(k), ConvSpec()).values
+                assert len(calls) == sums
+                assert np.array_equal(fused, staged_conv_i8(x, thr, k, ConvSpec()).values)
+                assert (fused == 127).all()
+        assert {g for _, g in tiles} == {group}
+
+    def test_group_never_exceeds_the_lanes(self):
+        k = fuse_kernel(pack_weights(np.ones((2, 1, 1100, 64))))
+        x_dims = (1, 1, 1100, 64)
+        assert tap_group(x_dims, k, ConvSpec(), 1) == 1023
+
+    @pytest.mark.parametrize(
+        "n,hw,cin,out,f,stride",
+        [(1, 16, 8, 64, 3, 1), (4, 16, 8, 64, 3, 1), (6, 16, 8, 64, 3, 1),
+         (1, 9, 20, 7, 3, 2), (1, 4, 256, 256, 3, 1), (2, 8, 64, 64, 8, 8),
+         (1, 7, 512, 512, 3, 1), (4, 6, 33, 5, 5, 1)],
+    )
+    def test_tap_group_fills_the_leftover_budget(self, n, hw, cin, out, f, stride):
+        k = fuse_kernel(pack_weights(np.ones((out, f, f, cin))))
+        spec = ConvSpec(stride=(stride, stride), spatial_pad=(f // 2, f // 2))
+        x_dims = (n, hw, hw, cin)
+        oh = output_shape(x_dims, k.dims, spec)[1]
+        group = tap_group(x_dims, k, spec, oh)
+        cap = min(f * f, k.lane_taps)
+        assert 1 <= group <= cap
+        assert group == 1 or fused_tile_bytes(x_dims, k, spec, oh, group) <= TILE_BYTE_BUDGET
+        assert group == cap or fused_tile_bytes(x_dims, k, spec, oh, group + 1) > TILE_BYTE_BUDGET
+        if oh > 1:  # a tile short of the map keeps one tap a group
+            assert tap_group(x_dims, k, spec, oh - 1) == 1
+        assert tap_group(x_dims, k, spec, oh, threads=2) == 1
+
+    def test_benchmark_shapes(self, monkeypatch):
+        # the batch-1 toy-VGG stem runs its 9 taps as one group; the
+        # batch-100 stem, a resnet-body block on 2 workers and every
+        # default-suite shape keep one tap a group
+        tiles = spy_groups(monkeypatch)
+        stem = fuse_kernel(pack_weights(np.ones((64, 3, 3, 8))))
+        same = ConvSpec(spatial_pad=(1, 1))
+        cases = [((1, 16, 16, 8), stem, same, 1, {9}), ((100, 16, 16, 8), stem, same, 1, {1})]
+        body = fuse_kernel(pack_weights(np.ones((256, 3, 3, 256))))
+        cases.append(((8, 14, 14, 256), body, same, 2, {1}))
+        for cfg in default_suite():
+            _, kernel, _ = _build_workload(cfg, 1)
+            x_dims = (1, cfg.height, cfg.width, cfg.c_in)
+            cases.append((x_dims, fuse_kernel(kernel), cfg.spec, 1, {1}))
+        for x_dims, k, spec, threads, groups in cases:
+            tiles.clear()
+            conv_fused(I8FeatureMap(np.zeros(x_dims, np.int8)), None, k, spec, threads=threads)
+            assert {g for _, g in tiles} == groups, x_dims
+
+    def test_fusion_sweep_reaches_grouped_tiles(self, monkeypatch):
+        tiles = spy_groups(monkeypatch)
+        assert fusion_sweep(np.random.default_rng(5), 10).ok
+        assert {g > 1 for _, g in tiles} == {True, False}

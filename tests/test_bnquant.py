@@ -161,6 +161,23 @@ class TestThresholdEquivalence:
         assert got.shape == (255, 514)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("direction", [GE, LE])
+    def test_prepared_limits_are_the_limits_clipped_to_int8(self, direction):
+        # every tau in [-128, 128]: construction prepares what each
+        # threshold_bits call used to derive
+        tau = np.arange(-128, 129, dtype=np.int16)
+        t = ThresholdParams(tau, np.full(tau.shape, direction, dtype=np.uint8))
+        assert t.i8_limits.dtype == np.int8
+        assert np.array_equal(t.i8_limits, np.clip(t.limits(), -128, 127))
+        assert np.array_equal(t.le, np.full(tau.shape, direction == LE))
+
+    def test_tables_are_read_only_once_prepared(self):
+        # a write to tau or direction would leave the prepared limits stale
+        t = ThresholdParams(np.zeros(3, np.int16), np.array([GE, LE, GE], np.uint8))
+        for a in (t.tau, t.direction, t.le, t.i8_limits):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
     def test_exact_tie_at_zero(self):
         # bn(1) == 0 exactly; sign(0) = +1 must hold on both routes
         p = params(2, 1, 3, 4)

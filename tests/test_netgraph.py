@@ -1,5 +1,6 @@
 """Tests for block execution, model composition and the file format."""
 
+import hashlib
 import struct
 import warnings
 import zlib
@@ -319,6 +320,14 @@ class TestRunModel:
         h = run_vgg_block(h, blocks[3])
         assert np.array_equal(got.values, h.values)
 
+    @pytest.mark.parametrize("seed,first", [(3, ResnetBlock), (1, VggBlock)])
+    def test_empty_batch_rejected(self, seed, first):
+        model = random_model(np.random.default_rng(seed))
+        assert type(model.blocks[0]) is first
+        x = np.zeros((0, 12, 12, model.blocks[0].kernel.in_channels))
+        with pytest.raises(GraphError, match="batch must be at least 1, got 0"):
+            run_model(model, x)
+
     def test_model_must_end_in_i8(self, monkeypatch):
         rng = np.random.default_rng(10)
         thr = compute_threshold(bn(rng, 3))
@@ -544,6 +553,37 @@ def _put(fmt, offset, value):
 class TestSerialization:
     def _roundtrip(self, model):
         return model_from_bytes(model_to_bytes(model))
+
+    # model_to_bytes of 100 random_model(default_rng(23)) models, recorded
+    # before blocks held a fused kernel form: the form is not in the file
+    MODEL_BYTES_SHA256 = "cd80d223505d5986ca3daf8eca402d38a965fd5fbee1012960587d9e2334dd9e"
+
+    def test_model_bytes_unchanged_by_the_fused_form(self):
+        rng = np.random.default_rng(23)
+        h = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(100):
+                h.update(model_to_bytes(random_model(rng)))
+        assert h.hexdigest() == self.MODEL_BYTES_SHA256
+
+    def test_loaded_blocks_carry_equal_fused_forms(self):
+        rng = np.random.default_rng(24)
+        fm = float_vgg_model(rng, depth=3)
+        assert all(blk.fused is None for blk in fm.blocks)
+        models = [random_model(rng) for _ in range(30)]
+        models += [convert_model(fm, "vgg-threshold")[0],
+                   convert_model(float_resnet_model(rng, c=70), "resnet-qbn")[0]]
+        for model in models:
+            for blk, back in zip(model.blocks, self._roundtrip(model).blocks):
+                a, b = blk.fused, back.fused
+                assert a is not b
+                assert a.dims == b.dims == blk.kernel.dims
+                assert a.words_per_site == b.words_per_site == blk.kernel.words_per_site
+                assert a.kinv.dtype == b.kinv.dtype == a.word == b.word
+                assert np.array_equal(a.kinv, b.kinv)
+                assert (a.lane, a.acc, a.lane_taps, a.bias, a.wrap) == (
+                    b.lane, b.acc, b.lane_taps, b.bias, b.wrap)
 
     def test_bytes_stable_on_resave(self):
         rng = np.random.default_rng(13)

@@ -11,6 +11,8 @@ ENGINE = {
     "conv_fused", "conv_i8", "conv_i32", "staged_conv_i8", "threshold_bits",
     "apply_threshold", "pack_bitplanes", "pack_activations", "run_model",
     "run_vgg_block", "run_resnet_block", "saturate", "saturate_into", "clip_free",
+    # the forms the engine prepares once from a block's kernel and thresholds
+    "fuse_kernel", "fused", "kinv", "tap_group", "i8_limits", "le",
 }
 
 # Functions that spell the clamp law's 127 themselves: the independent
