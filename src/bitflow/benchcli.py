@@ -52,10 +52,16 @@ EXIT_USAGE = 2
 _MAX_REPEATS = 10_000
 _MAX_THREADS = 64
 
+# Largest array (elements) a bench stanza or a model file's validation input
+# may ask for.
+_MAX_MODEL_INPUT = 1 << 24
+
 
 @dataclass
 class BenchConfig:
-    """One benchmarked layer shape."""
+    """One benchmarked layer shape, at batch 1. A shape whose padded input,
+    kernel, output or ``float-reference`` im2col rows hold more than
+    ``_MAX_MODEL_INPUT`` elements is rejected before anything is built."""
 
     name: str
     height: int
@@ -71,6 +77,16 @@ class BenchConfig:
             raise ValueError(f"{self.name}: non-positive shape field")
         if self.stride < 1 or self.pad < 0:
             raise ValueError(f"{self.name}: bad stride/pad")
+        hp, wp = self.height + 2 * self.pad, self.width + 2 * self.pad
+        oh, ow = ((side - self.filter) // self.stride + 1 for side in (hp, wp))
+        if min(oh, ow) <= 0:
+            raise ValueError(f"{self.name}: filter {self.filter} exceeds the padded input")
+        taps = self.filter * self.filter * self.c_in
+        sizes = {"padded input": hp * wp * self.c_in, "kernel": self.c_out * taps,
+                 "output": oh * ow * self.c_out, "im2col rows": oh * ow * taps}
+        for what, size in sizes.items():
+            if size > _MAX_MODEL_INPUT:
+                raise ValueError(f"{self.name}: {what} of {size} elements, over {_MAX_MODEL_INPUT}")
 
     @property
     def spec(self) -> ConvSpec:
@@ -513,10 +529,6 @@ def serialization_sweep(rng, n_models: int) -> SweepResult:
     return SweepResult("serialization", n_models)
 
 
-# Largest validation input (elements) a model file may ask for.
-_MAX_MODEL_INPUT = 1 << 24
-
-
 def model_input_size(model: netgraph.Model) -> tuple[int, int]:
     """Smallest input, at least 8x8, that every block maps to a non-empty
     output: walk the blocks backwards from a 1x1 output, per axis
@@ -640,6 +652,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(passed) else EXIT_MISMATCH
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer literal (decimal, 0x hex, ...) in [0, 2**64),
+    the range of the uint64 the workload and sweep streams are seeded from."""
+    seed = int(text, 0)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitflow", description="binary convolution engine tools"
@@ -653,9 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, default=3)
     bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--json", help="write rows, git sha, numpy version and CPU count here")
-    bench.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED, help="workload seed"
-    )
+    bench.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="workload seed")
     bench.set_defaults(func=cmd_bench)
 
     convert = sub.add_parser("convert", help="float batch norm to deployment tables")
@@ -668,9 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="oracle equivalence sweeps")
     validate.add_argument("--sizes", choices=("tiny", "full"), default="full")
-    validate.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED, help="sweep seed"
-    )
+    validate.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="sweep seed")
     validate.add_argument("--model", help="also validate this model file")
     validate.set_defaults(func=cmd_validate)
     return parser

@@ -17,10 +17,13 @@ Two output paths share that accumulation:
   clipping the final accumulator of a training-time forward pass).
 
 ``conv_fused`` collapses binarize/pad/convolve into one tiled pass over
-the input. It runs on a kernel's fused form (:class:`FusedKernel`), which
-:func:`fuse_kernel` builds once from everything that depends only on the
-kernel; netgraph's blocks build it at construction. Tiles, tap groups and
-worker count are pure performance knobs and never change results.
+the input. Two functions own its decisions: :func:`fuse_kernel` builds,
+once per kernel, the kernel's fused form (:class:`FusedKernel`: narrowed,
+bit-inverted words and every type the tap loop uses), which netgraph's
+blocks build at construction; :func:`tile_plan` picks, once per call, the
+tile rows and the taps per group from one tile byte model. Tiles, tap
+groups and worker count are pure performance knobs and never change
+results.
 
 The dense reference ``conv_float_oracle`` is one 2-D float32 GEMM
 (:func:`gemm_rows`) over :func:`im2col` rows, the same rows and the same
@@ -31,19 +34,11 @@ bytes, folds each word's byte counts with one multiply-shift and widens
 every tap to int32. The fused kernel XORs a group of taps against every
 filter at once in ``(taps·wps, A, B)`` buffers whose inner axis B is the
 longer of the tile's sites (also on a tie) and filters, as numpy pays a
-fixed cost per inner loop, then counts and sums the group's taps in one
-call each. A group is one tap unless one tile covers every output row on
-one worker; then the budget that tile leaves picks the most taps that fit
-(:func:`tap_group`), so the batch-1 toy stem runs its 9 taps as one XOR,
-one count and one group sum. A one-word site is held in the narrowest
-unsigned word that fits its channels, so the 8-channel stem XORs bytes.
-The filter sets its narrow types (:func:`_lane_types`): counts add across
-taps in uint8 lanes when all taps fit, else uint16, and sum over words
-into an int16 accumulator when twice the matches fit, else int32. A
-one-word site that never drains mid-loop skips the word-axis sum, and the
-epilogue stays in the accumulator type, or in uint8 where the clamp
-cannot fire, so the stem never widens past 8 bits. Both kernels split
-output rows into spans with :func:`_run_row_spans`.
+fixed cost per inner loop, then counts and sums the group's taps into
+narrow lanes in one call each. A one-word site that never drains mid-loop
+skips the word-axis sum, and the epilogue stays in the accumulator type,
+or in uint8 where the clamp cannot fire. Both kernels split output rows
+into spans with :func:`_run_row_spans`.
 """
 
 from __future__ import annotations
@@ -279,25 +274,6 @@ def conv_i8(
     return I8FeatureMap.saturate(conv_i32(x, k, spec, threads).values)
 
 
-def _site_word(cin: int, wps: int) -> np.dtype:
-    """The fused kernel's word: the narrowest unsigned word that holds a
-    one-word site's channels, else uint64."""
-    return np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
-
-
-def _lane_types(fh: int, fw: int, word: np.dtype, wps: int) -> tuple[np.dtype, np.dtype]:
-    """The fused kernel's lane and accumulator types. A lane gains at most
-    one word's bits per tap, so uint8 lanes hold all fh*fw taps when
-    ``fh * fw * lane_bits <= 255``, else uint16 lanes drain mid-loop. The
-    accumulator holds ``2 * matches`` over the site's words before the bias
-    comes off: int16 when ``2 * fh * fw * lane_bits * wps <= 32767``, else
-    int32."""
-    tap_bits = fh * fw * 8 * word.itemsize
-    lane = np.dtype(np.uint8 if tap_bits <= np.iinfo(np.uint8).max else np.uint16)
-    acc = np.dtype(np.int16 if 2 * tap_bits * wps <= np.iinfo(np.int16).max else np.int32)
-    return lane, acc
-
-
 @dataclass(frozen=True, eq=False)
 class FusedKernel:
     """A kernel set in the form :func:`conv_fused` runs, built once by
@@ -327,12 +303,23 @@ class FusedKernel:
 
 def fuse_kernel(k: PackedKernelSet) -> FusedKernel:
     """The fused form of ``k``: one narrowed copy of its words plus the
-    types and constants :func:`conv_fused` needs, so no call derives them."""
+    types and constants :func:`conv_fused` needs, so no call derives them.
+
+    A one-word site is held in the narrowest unsigned word that fits its
+    channels (the high bits are pad matches, as in uint64), else uint64. A
+    lane gains at most one word's bits per tap, so uint8 lanes hold all
+    fh*fw taps when ``fh * fw * word_bits <= 255``, else uint16 lanes drain
+    mid-loop. The accumulator holds ``2 * matches`` over the site's words
+    before the bias comes off: int16 when ``2 * fh * fw * word_bits * wps
+    <= 32767``, else int32.
+    """
     _, fh, fw, cin = k.dims
     wps = k.words_per_site
-    # a narrow word's high bits are pad matches, as in uint64
-    word = _site_word(cin, wps)
-    lane, acc = _lane_types(fh, fw, word, wps)
+    word = np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
+    word_bits = 8 * word.itemsize
+    tap_bits = fh * fw * word_bits
+    lane = np.dtype(np.uint8 if tap_bits <= np.iinfo(np.uint8).max else np.uint16)
+    acc = np.dtype(np.int16 if 2 * tap_bits * wps <= np.iinfo(np.int16).max else np.int32)
     kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
     kinv.setflags(write=False)
     return FusedKernel(
@@ -341,52 +328,46 @@ def fuse_kernel(k: PackedKernelSet) -> FusedKernel:
         word=word,
         lane=lane,
         acc=acc,
-        lane_taps=int(np.iinfo(lane).max) // (8 * word.itemsize),
-        bias=int(_match_bias(fh, fw, cin, 8 * word.itemsize * wps)),
+        lane_taps=int(np.iinfo(lane).max) // word_bits,
+        bias=int(_match_bias(fh, fw, cin, word_bits * wps)),
         # |2 * matches - bias| <= fh*fw*cin; where the clamp never fires, the
         # low byte of 2 * matches - bias, wrapped in uint8, is the result
         wrap=clip_free(fh * fw * cin),
     )
 
 
-def _tile_bytes(x_dims, k: FusedKernel, spec: ConvSpec) -> tuple[int, int, int]:
-    """Scratch bytes of one fused tile over the whole batch: what every tile
-    holds (the kernel and the input rows neighbouring output rows share),
-    what each output row adds (:func:`_tile_matches`' XOR, count and lane
-    buffers at word, 1 and lane bytes per word, its accumulator and its
-    input rows), and what each output row adds per tap a group holds beyond
-    its first (that tap's slab, XOR and count words)."""
-    n, _, ow, out = output_shape(x_dims, k.dims, spec)
-    w = x_dims[2]
-    fh, sh, pw = k.dims[1], spec.stride[0], spec.spatial_pad[1]
-    wps, word = k.words_per_site, k.word.itemsize
-    in_row = n * (w + 2 * pw) * wps * word
-    row_bytes = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + k.acc.itemsize) + sh * in_row
-    fixed_bytes = k.kinv.size * word + (fh - sh) * in_row
-    tap_bytes = n * ow * wps * (out * (word + 1) + word)
-    return fixed_bytes, row_bytes, tap_bytes
+def tile_plan(
+    x_dims, k: FusedKernel, spec: ConvSpec, tile_rows: int | None = None, threads: int = 1
+) -> tuple[int, int]:
+    """Output rows per tile and taps per group of one :func:`conv_fused` call.
 
+    The tile byte model: a tile of ``rows`` output rows and ``group`` taps a
+    group holds ``fixed + rows * (row + (group - 1) * tap)`` scratch bytes
+    over the whole batch. ``fixed`` is the kernel and the input rows that
+    neighbouring output rows share; ``row`` is each output row's XOR, count
+    and lane buffers (word, 1 and lane bytes per word), accumulator and
+    input rows; ``tap`` is each extra grouped tap's slab, XOR and count words.
 
-def default_tile_rows(x_dims, k: FusedKernel, spec: ConvSpec) -> int:
-    """Output rows per tile so one tile's scratch (:func:`_tile_bytes`), over
-    the whole batch, fits the cache budget."""
-    fixed_bytes, row_bytes, _ = _tile_bytes(x_dims, k, spec)
-    return max(1, (TILE_BYTE_BUDGET - fixed_bytes) // row_bytes)
-
-
-def tap_group(x_dims, k: FusedKernel, spec: ConvSpec, tile_rows: int, threads: int = 1) -> int:
-    """Taps per group for tiles of ``tile_rows`` output rows: one, unless a
-    single tile covers every output row on one worker. Then the budget that
-    tile leaves picks the most taps whose group buffers fit
-    (:func:`_tile_bytes`), up to all fh*fw taps and ``k.lane_taps``, so a
-    group never overflows the lanes."""
-    oh = output_shape(x_dims, k.dims, spec)[1]
-    if tile_rows < oh or threads > 1:
-        return 1
-    fixed_bytes, row_bytes, tap_bytes = _tile_bytes(x_dims, k, spec)
-    spare = TILE_BYTE_BUDGET - fixed_bytes - oh * row_bytes
+    Default rows are the most that fit ``TILE_BYTE_BUDGET``, at most one
+    worker's share; passed rows are clamped to [1, oh]. A group is one tap
+    unless one tile covers every output row on one worker; then it is the
+    most taps that fit the budget left, up to fh*fw and ``k.lane_taps``.
+    """
+    n, oh, ow, out = output_shape(x_dims, k.dims, spec)
     _, fh, fw, _ = k.dims
-    return max(1, min(fh * fw, k.lane_taps, 1 + spare // (oh * tap_bytes)))
+    sh = spec.stride[0]
+    wps, word = k.words_per_site, k.word.itemsize
+    in_row = n * (x_dims[2] + 2 * spec.spatial_pad[1]) * wps * word
+    fixed = k.kinv.size * word + (fh - sh) * in_row
+    row = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + k.acc.itemsize) + sh * in_row
+    if tile_rows is None:
+        tile_rows = min((TILE_BYTE_BUDGET - fixed) // row, -(-oh // max(threads, 1)))
+    rows = max(1, min(tile_rows, oh))
+    if rows < oh or threads > 1:
+        return rows, 1
+    tap = n * ow * wps * (out * (word + 1) + word)
+    spare = TILE_BYTE_BUDGET - fixed - oh * row
+    return rows, max(1, min(fh * fw, k.lane_taps, 1 + spare // (oh * tap)))
 
 
 def conv_fused(
@@ -415,10 +396,7 @@ def conv_fused(
     sh, sw = spec.stride
     ph, pw = spec.spatial_pad
     wps = k.words_per_site
-    if tile_rows is None:  # the budget's tile, at most one worker's share
-        tile_rows = min(default_tile_rows(x_prev.dims, k, spec), -(-oh // max(threads, 1)))
-    tile_rows = max(1, min(tile_rows, oh))
-    group = tap_group(x_prev.dims, k, spec, tile_rows, threads)
+    tile_rows, group = tile_plan(x_prev.dims, k, spec, tile_rows, threads)
     result = np.empty((n, oh, ow, out), dtype=np.int8)
 
     def run_tile(y0, y1):

@@ -276,14 +276,28 @@ class TestCli:
              "stanza 2: id a repeated"),
             ("h=8\nw=8\ncin=16\ncout=4\n\nid=c01\nh=8\nw=8\ncin=8\ncout=4\n",
              "stanza 2: id c01 repeated"),
+            # each of the next four is over exactly one bound of 2**24 elements
+            ("id=a\nh=4096\nw=4096\ncin=1\ncout=1\nfilter=1\nstride=4096\npad=1\n",
+             "a: padded input of 16793604 elements"),
+            ("id=a\nh=64\nw=64\ncin=1\ncout=4097\nfilter=64\npad=0\n",
+             "a: kernel of 16781312 elements"),
+            ("id=a\nh=64\nw=64\ncin=1\ncout=4097\nfilter=1\npad=0\n",
+             "a: output of 16781312 elements"),
+            ("id=a\nh=512\nw=512\ncin=8\ncout=1\n", "a: im2col rows of 18874368 elements"),
+            ("id=a\nh=1000000\nw=1000000\ncin=512\ncout=512\n", "a: padded input of"),
+            ("id=a\nh=4\nw=4\ncin=1\ncout=1\nfilter=7\n", "a: filter 7 exceeds the padded input"),
         ],
-        ids=["no-h", "strid", "repeats", "repeated-key", "repeated-id", "repeated-default-id"],
+        ids=["no-h", "strid", "repeats", "repeated-key", "repeated-id", "repeated-default-id",
+             "padded-input", "kernel", "output", "im2col-rows", "huge", "filter"],
     )
-    def test_bench_bad_stanza_is_a_usage_error(self, tmp_path, capsys, text, why):
+    def test_bench_bad_stanza_is_a_usage_error(self, tmp_path, monkeypatch, capsys, text, why):
+        built = []
+        monkeypatch.setattr(benchcli, "_build_workload", lambda cfg, seed: built.append(cfg))
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         assert main(["bench", "--config", str(path)]) == 2
         assert why in capsys.readouterr().err
+        assert built == []
 
     def test_bench_missing_config_is_a_usage_error(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -294,9 +308,19 @@ class TestCli:
         assert parser.parse_args(["validate"]).seed == 0xB17F10
         assert parser.parse_args(["bench", "--seed", "0x123"]).seed == 0x123
         assert parser.parse_args(["validate", "--seed", "291"]).seed == 0x123
+        assert parser.parse_args(["bench", "--seed", "0"]).seed == 0
+        assert parser.parse_args(["validate", "--seed", hex((1 << 64) - 1)]).seed == (1 << 64) - 1
         with pytest.raises(SystemExit) as err:
             parser.parse_args(["bench", "--seed", "seven"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bench", "validate"])
+    @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000", str(1 << 64)])
+    def test_seed_outside_uint64_is_a_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--seed", seed])
+        assert err.value.code == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",

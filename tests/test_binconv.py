@@ -1,5 +1,7 @@
 """Tests for the binary direct convolution paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,11 @@ from bitflow.binconv import (
     conv_fused,
     conv_i8,
     conv_i32,
-    default_tile_rows,
     fuse_kernel,
     gemm_rows,
     output_shape,
     staged_conv_i8,
-    tap_group,
+    tile_plan,
 )
 from bitflow.benchcli import _build_workload, default_suite, fusion_sweep
 from bitflow.bitcore import TILE_BYTE_BUDGET, I8FeatureMap, pack_activations, pack_weights
@@ -471,16 +472,18 @@ class TestConvFused:
 
     def test_default_tile_rows_positive(self):
         k = fuse_kernel(pack_weights(np.ones((64, 3, 3, 256))))
-        assert default_tile_rows((1, 56, 56, 256), k, ConvSpec(spatial_pad=(1, 1))) >= 1
+        assert tile_plan((1, 56, 56, 256), k, ConvSpec(spatial_pad=(1, 1)))[0] >= 1
 
     def test_default_tile_rows_counts_batch(self):
-        # the toy-VGG stem: 16x16x8 input, 64 3x3 filters
+        # the toy-VGG stem's 64 3x3 filters over 8 channels, 16 pixels wide,
+        # on a map taller than every batch's pick, so no pick is clamped
         k = fuse_kernel(pack_weights(np.ones((64, 3, 3, 8))))
         spec = ConvSpec(spatial_pad=(1, 1))
         batches = (1, 2, 8, 100, 400)
-        picks = [default_tile_rows((n, 16, 16, 8), k, spec) for n in batches]
+        picks = [tile_plan((n, 256, 16, 8), k, spec)[0] for n in batches]
+        assert picks[0] < 256
         for n, rows in zip(batches, picks):
-            assert_tile_fits_budget((n, 16, 16, 8), k, spec, rows)
+            assert_tile_fits_budget((n, 256, 16, 8), k, spec, rows)
         assert picks[0] > picks[1] > picks[2] > picks[3] >= picks[4] >= 1
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -498,7 +501,7 @@ class TestConvFused:
         x = I8FeatureMap(np.ones((1, 4, 4, 256), dtype=np.int8))
         k = fuse_kernel(pack_weights(np.ones((256, 3, 3, 256))))
         spec = ConvSpec(spatial_pad=(1, 1))
-        assert default_tile_rows(x.dims, k, spec) >= 4
+        assert tile_plan(x.dims, k, spec)[0] == 4
         conv_fused(x, None, k, spec, threads=threads)
         assert [oh for oh, _ in tiles] == {1: [4], 2: [2, 2], 4: [1, 1, 1, 1]}[threads]
         assert all((group > 1) == (threads == 1) for _, group in tiles)
@@ -511,8 +514,19 @@ class TestConvFused:
     def test_default_tile_rows_fill_the_budget(self, n, hw, cin, out, f, stride):
         k = fuse_kernel(pack_weights(np.ones((out, f, f, cin))))
         spec = ConvSpec(stride=(stride, stride), spatial_pad=(f // 2, f // 2))
-        rows = default_tile_rows((n, hw, hw, cin), k, spec)
+        rows = tile_plan((n, hw, hw, cin), k, spec)[0]
         assert_tile_fits_budget((n, hw, hw, cin), k, spec, rows)
+
+    def test_passed_rows_are_clamped_to_the_map(self):
+        # a 14-row map: rows below 1 become 1, rows past the map the map,
+        # and only a tile covering the map groups taps
+        k = fuse_kernel(pack_weights(np.ones((8, 3, 3, 16))))
+        spec, x_dims = ConvSpec(spatial_pad=(1, 1)), (1, 14, 14, 16)
+        assert [tile_plan(x_dims, k, spec, r)[0] for r in (-3, 0, 1, 5, 14, 19)] == [
+            1, 1, 1, 5, 14, 14
+        ]
+        assert tile_plan(x_dims, k, spec, 19) == tile_plan(x_dims, k, spec, 14) == (14, 9)
+        assert tile_plan(x_dims, k, spec, 13)[1] == 1
 
     @pytest.mark.parametrize("tile_rows", [1, None])
     def test_many_taps_all_match(self, tile_rows):
@@ -595,9 +609,8 @@ class TestConvFused:
         ],
     )
     def test_lane_and_accumulator_types(self, fh, fw, cin, lane, acc):
-        wps = -(-cin // 64)
-        word = binconv._site_word(cin, wps)
-        assert binconv._lane_types(fh, fw, word, wps) == (np.dtype(lane), np.dtype(acc))
+        k = fuse_kernel(pack_weights(np.ones((1, fh, fw, cin), dtype=np.int8)))
+        assert (k.lane, k.acc) == (np.dtype(lane), np.dtype(acc))
 
     @pytest.mark.parametrize(
         "fh,fw,cin,sums", [(3, 3, 8, 0), (1, 31, 8, 0), (4, 8, 8, 0), (3, 3, 65, 1), (1, 1100, 64, 2)]
@@ -774,7 +787,7 @@ class TestTapGroups:
     def test_group_never_exceeds_the_lanes(self):
         k = fuse_kernel(pack_weights(np.ones((2, 1, 1100, 64))))
         x_dims = (1, 1, 1100, 64)
-        assert tap_group(x_dims, k, ConvSpec(), 1) == 1023
+        assert tile_plan(x_dims, k, ConvSpec(), 1) == (1, 1023)
 
     @pytest.mark.parametrize(
         "n,hw,cin,out,f,stride",
@@ -787,14 +800,15 @@ class TestTapGroups:
         spec = ConvSpec(stride=(stride, stride), spatial_pad=(f // 2, f // 2))
         x_dims = (n, hw, hw, cin)
         oh = output_shape(x_dims, k.dims, spec)[1]
-        group = tap_group(x_dims, k, spec, oh)
+        rows, group = tile_plan(x_dims, k, spec, oh)
+        assert rows == oh
         cap = min(f * f, k.lane_taps)
         assert 1 <= group <= cap
         assert group == 1 or fused_tile_bytes(x_dims, k, spec, oh, group) <= TILE_BYTE_BUDGET
         assert group == cap or fused_tile_bytes(x_dims, k, spec, oh, group + 1) > TILE_BYTE_BUDGET
         if oh > 1:  # a tile short of the map keeps one tap a group
-            assert tap_group(x_dims, k, spec, oh - 1) == 1
-        assert tap_group(x_dims, k, spec, oh, threads=2) == 1
+            assert tile_plan(x_dims, k, spec, oh - 1) == (oh - 1, 1)
+        assert tile_plan(x_dims, k, spec, oh, threads=2) == (oh, 1)
 
     def test_benchmark_shapes(self, monkeypatch):
         # the batch-1 toy-VGG stem runs its 9 taps as one group; the
@@ -819,3 +833,41 @@ class TestTapGroups:
         tiles = spy_groups(monkeypatch)
         assert fusion_sweep(np.random.default_rng(5), 10).ok
         assert {g > 1 for _, g in tiles} == {True, False}
+
+
+# (batch, side, cin, cout, threads) of the benchmark models' 3x3 convolutions
+MODEL_CASES = {
+    "single-image-stem": (1, 16, 8, 64, 1),
+    "vgg-toy-stem": (100, 16, 8, 64, 1),
+    "resnet-body-1": (8, 14, 256, 256, 1),
+    "resnet-body-2": (8, 14, 256, 256, 2),
+}
+
+
+@pytest.mark.parametrize("case", [*MODEL_CASES, *(cfg.name for cfg in default_suite())])
+def test_tile_byte_model_bounds_traced_scratch(case):
+    # one call's traced peak, less its int8 output, stays within 1.25 times
+    # the modelled bytes of its plan's tile, times the tiles in flight; it
+    # read 0.66-1.12 of one tile, and 2.15 with two workers
+    if case in MODEL_CASES:
+        n, hw, cin, out, threads = MODEL_CASES[case]
+        x_dims, spec = (n, hw, hw, cin), ConvSpec(spatial_pad=(1, 1))
+        k = fuse_kernel(pack_weights(np.ones((out, 3, 3, cin))))
+    else:
+        cfg = next(c for c in default_suite() if c.name == case)
+        x_dims, spec, threads = (1, cfg.height, cfg.width, cfg.c_in), cfg.spec, 1
+        k = fuse_kernel(_build_workload(cfg, 1)[1])
+    rng = np.random.default_rng(7)
+    x = I8FeatureMap(rng.integers(-127, 128, size=x_dims, dtype=np.int8))
+    conv_fused(x, None, k, spec, threads=threads)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y = conv_fused(x, None, k, spec, threads=threads)
+        scratch = tracemalloc.get_traced_memory()[1] - base - y.values.nbytes
+    finally:
+        tracemalloc.stop()
+    rows, group = tile_plan(x_dims, k, spec, threads=threads)
+    in_flight = min(threads, -(-y.dims[1] // rows))
+    assert scratch <= 1.25 * fused_tile_bytes(x_dims, k, spec, rows, group) * in_flight

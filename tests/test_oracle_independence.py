@@ -12,7 +12,7 @@ ENGINE = {
     "apply_threshold", "pack_bitplanes", "pack_activations", "run_model",
     "run_vgg_block", "run_resnet_block", "saturate", "saturate_into", "clip_free",
     # the forms the engine prepares once from a block's kernel and thresholds
-    "fuse_kernel", "fused", "kinv", "tap_group", "i8_limits", "le",
+    "fuse_kernel", "fused", "kinv", "tile_plan", "i8_limits", "le",
 }
 
 # Functions that spell the clamp law's 127 themselves: the independent

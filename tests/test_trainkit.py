@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitflow import netgraph as ng
-from bitflow.binconv import ConvSpec, im2col
+from bitflow.binconv import ConvSpec, gemm_rows, im2col
 from bitflow.bitcore import unpack_weights
 from bitflow import trainkit as tk
 from bitflow.trainkit import (
@@ -126,6 +126,46 @@ class TestSurrogates:
         monkeypatch.setattr(tk, name, wrong)
         pts = np.linspace(-300, 300, 1201) if op == "clip" else np.linspace(-3, 3, 401)
         assert grad_check(op, pts)["max_abs_err"] > 1e-6
+
+    @pytest.mark.parametrize("variant", ["vgg", "resnet"])
+    def test_training_forward_caches_the_surrogates_masks(self, monkeypatch, variant):
+        # _forward forms its masks in place; each must equal ste_sign's or
+        # clip_i8_surrogate's mask of the same values, replayed here block
+        # by block. Weights over [-3, 3] put some past either sign window,
+        # resnet betas of 110 some past the clip; the clip is forced on
+        task = small_vgg_task() if variant == "vgg" else small_resnet_task()
+        state = tk.init_state(task)
+        state.stage = tk.STAGE_CLIPPED
+        for blk in state.blocks:
+            blk.weight *= 6
+            if variant == "resnet":
+                blk.bn.beta[::2] = 110.0
+        monkeypatch.setattr(tk, "clip_free", lambda taps: False)
+        x = task.train_images[:50]
+        replay = state.clone()  # batch norm updates its running statistics
+        caches = tk._forward(state, x, True)[3]
+        h = ste_sign(x)[0] if variant == "resnet" else x
+        for bi, (blk, cache) in enumerate(zip(replay.blocks, caches)):
+            a, amask = ste_sign(h)
+            wb, wmask = ste_sign(blk.weight)
+            f = gemm_rows(im2col(a, *wb.shape[1:3], blk.spec), wb.reshape(len(wb), -1).T)
+            f, cmask = clip_i8_surrogate(f)
+            y = tk._bn_forward(blk.bn, f, True)[0] if blk.bn is not None else f
+            want = {"amask": amask if bi else None, "wmask": wmask, "cmask": cmask}
+            if variant == "resnet":
+                y, want["zmask"] = clip_i8_surrogate(y)
+                y, want["omask"] = clip_i8_surrogate(y + h)
+            for name in ("amask", "wmask", "cmask", "zmask", "omask"):
+                got, mask = cache[name], want.get(name)
+                assert (got is None) == (mask is None), (bi, name)
+                if mask is not None:
+                    assert got.dtype == np.uint8 and np.array_equal(got, mask), (bi, name)
+            h = y
+        # every mask the test sets out to bite holds both values somewhere
+        clip_masks = ("zmask", "omask") if variant == "resnet" else ("cmask",)
+        for name in ("amask", "wmask", *clip_masks):
+            seen = {int(v) for c in caches if c[name] is not None for v in np.unique(c[name])}
+            assert seen == {0, 1}, name
 
     def test_grad_check_unknown_op(self):
         with pytest.raises(ValueError):
