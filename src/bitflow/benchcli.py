@@ -615,7 +615,11 @@ def cmd_convert(args) -> int:
     except (netgraph.ModelFormatError, OSError) as exc:
         print(f"error: cannot load {args.model_in}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    converted, report = netgraph.convert_model(model, args.mode)
+    try:
+        converted, report = netgraph.convert_model(model, args.mode)
+    except netgraph.GraphError as exc:
+        print(f"error: cannot convert {args.model_in}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     netgraph.save_model(converted, args.model_out)
     print(f"converted {len(converted.blocks)} layers -> {args.model_out}")
     for layer, channel in report.gamma_zero_channels:

@@ -35,7 +35,7 @@ every tap to int32. The fused kernel XORs a group of taps against every
 filter at once in ``(taps·wps, A, B)`` buffers whose inner axis B is the
 longer of the tile's sites (also on a tie) and filters, as numpy pays a
 fixed cost per inner loop, then counts and sums the group's taps into
-narrow lanes in one call each. A one-word site that never drains mid-loop
+narrow lanes, sized to hold every tap, in one call each. A one-word site
 skips the word-axis sum, and the epilogue stays in the accumulator type,
 or in uint8 where the clamp cannot fire. Both kernels split output rows
 into spans with :func:`_run_row_spans`.
@@ -166,12 +166,6 @@ def _match_counts(padded, kwords_inv, fh, fw, sh, sw, acc) -> None:
             acc += _fold_matches(x)
 
 
-def _add_words(acc, lanes, acc_type):
-    """``acc`` (None before the first drain) plus the lanes summed over words."""
-    part = lanes.sum(axis=0, dtype=acc_type)
-    return part if acc is None else np.add(acc, part, out=acc)
-
-
 def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     """Match counts for one tile, accumulated across taps in ``k.lane`` lanes.
 
@@ -179,10 +173,9 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     order (the last group may be shorter): it copies each of the group's
     input slabs into one block, then makes one XNOR, one
     ``np.bitwise_count`` into bytes and one sum over the group's taps into
-    the lanes; a group of one tap is the plain per-tap loop. The lanes
-    drain into ``k.acc`` by a word-axis sum before a group would take them
-    past ``k.lane_taps`` taps and at the end, except that a one-word site
-    that never drained mid-loop returns its lanes themselves, with no sum.
+    the lanes; a group of one tap is the plain per-tap loop. The lanes hold
+    every tap's matches; at the end a one-word site returns its lanes
+    themselves, and a wider one sums them over words into ``k.acc``.
     ``buf`` is ``(wps, n, rows, w)`` in ``k.word``; each tap's slab is one
     ``(wps, sites)`` block, and a group's buffers are ``(group·wps, out,
     sites)`` when sites are at least as many as filters, else
@@ -209,14 +202,8 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     xbuf = np.empty((group * wps, *shape[1:]), dtype=buf.dtype)
     counts = np.empty(xbuf.shape, dtype=np.uint8)
     lanes = np.zeros(shape, dtype=k.lane)
-    acc = None
-    pending = 0  # taps in the lanes
     for t0 in range(0, taps, group):
         g = min(group, taps - t0)
-        if pending + g > k.lane_taps:  # the group would overflow the lanes
-            acc = _add_words(acc, lanes, k.acc)
-            lanes.fill(0)
-            pending = 0
         for t in range(g):
             gathered[t] = slabs[divmod(t0 + t, fw)]
         m = g * wps
@@ -225,8 +212,7 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
         np.bitwise_count(xg, out=cg)
         # one tap's counts are its own sum (a length-1 reduce costs more than the add)
         lanes += cg if g == 1 else np.add.reduce(cg.reshape(g, *shape), axis=0, dtype=k.lane)
-        pending += g
-    acc = lanes[0] if acc is None and wps == 1 else _add_words(acc, lanes, k.acc)
+    acc = lanes[0] if wps == 1 else lanes.sum(axis=0, dtype=k.acc)
     if sites >= out:
         return acc.reshape(out, n, oh, ow).transpose(1, 2, 3, 0)
     return acc.reshape(n, oh, ow, out)
@@ -282,9 +268,9 @@ class FusedKernel:
     ``kinv`` holds the bit-inverted kernel words in ``(fh, fw, wps, out)``
     order, narrowed to the site ``word``, so XOR against the input is XNOR
     against the kernel. ``lane`` and ``acc`` are the lane and accumulator
-    types, and a lane holds ``lane_taps`` taps before it must drain. The
-    epilogue subtracts ``bias``; where ``wrap`` holds, no output can clip
-    and it runs wrapped in uint8.
+    types; a lane holds every tap's matches. The epilogue subtracts
+    ``bias``; where ``wrap`` holds, no output can clip and it runs wrapped
+    in uint8.
     """
 
     dims: tuple[int, int, int, int]
@@ -292,7 +278,6 @@ class FusedKernel:
     word: np.dtype
     lane: np.dtype
     acc: np.dtype
-    lane_taps: int
     bias: int
     wrap: bool
 
@@ -307,18 +292,18 @@ def fuse_kernel(k: PackedKernelSet) -> FusedKernel:
 
     A one-word site is held in the narrowest unsigned word that fits its
     channels (the high bits are pad matches, as in uint64), else uint64. A
-    lane gains at most one word's bits per tap, so uint8 lanes hold all
-    fh*fw taps when ``fh * fw * word_bits <= 255``, else uint16 lanes drain
-    mid-loop. The accumulator holds ``2 * matches`` over the site's words
-    before the bias comes off: int16 when ``2 * fh * fw * word_bits * wps
-    <= 32767``, else int32.
+    lane gains at most one word's bits per tap, so it is the narrowest
+    unsigned type that holds ``fh * fw * word_bits`` (uint8, uint16, then
+    uint32), by the same rule as the word. The accumulator holds ``2 *
+    matches`` over the site's words before the bias comes off: int16 when
+    ``2 * fh * fw * word_bits * wps <= 32767``, else int32.
     """
     _, fh, fw, cin = k.dims
     wps = k.words_per_site
     word = np.min_scalar_type((1 << cin) - 1) if wps == 1 else np.dtype(np.uint64)
     word_bits = 8 * word.itemsize
     tap_bits = fh * fw * word_bits
-    lane = np.dtype(np.uint8 if tap_bits <= np.iinfo(np.uint8).max else np.uint16)
+    lane = np.min_scalar_type(tap_bits)
     acc = np.dtype(np.int16 if 2 * tap_bits * wps <= np.iinfo(np.int16).max else np.int32)
     kinv = np.ascontiguousarray(np.bitwise_not(k.words.astype(word)).transpose(1, 2, 3, 0))
     kinv.setflags(write=False)
@@ -328,7 +313,6 @@ def fuse_kernel(k: PackedKernelSet) -> FusedKernel:
         word=word,
         lane=lane,
         acc=acc,
-        lane_taps=int(np.iinfo(lane).max) // word_bits,
         bias=int(_match_bias(fh, fw, cin, word_bits * wps)),
         # |2 * matches - bias| <= fh*fw*cin; where the clamp never fires, the
         # low byte of 2 * matches - bias, wrapped in uint8, is the result
@@ -351,7 +335,7 @@ def tile_plan(
     Default rows are the most that fit ``TILE_BYTE_BUDGET``, at most one
     worker's share; passed rows are clamped to [1, oh]. A group is one tap
     unless one tile covers every output row on one worker; then it is the
-    most taps that fit the budget left, up to fh*fw and ``k.lane_taps``.
+    most taps that fit the budget left, up to fh*fw.
     """
     n, oh, ow, out = output_shape(x_dims, k.dims, spec)
     _, fh, fw, _ = k.dims
@@ -367,7 +351,7 @@ def tile_plan(
         return rows, 1
     tap = n * ow * wps * (out * (word + 1) + word)
     spare = TILE_BYTE_BUDGET - fixed - oh * row
-    return rows, max(1, min(fh * fw, k.lane_taps, 1 + spare // (oh * tap)))
+    return rows, max(1, min(fh * fw, 1 + spare // (oh * tap)))
 
 
 def conv_fused(

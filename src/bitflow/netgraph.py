@@ -296,7 +296,9 @@ def convert_model(model: Model, mode: str) -> tuple[Model, ConversionReport]:
 
     ``vgg-threshold`` emits threshold comparisons, ``resnet-qbn`` 16-bit
     fixed-point tables. Blocks without batch norm become terminal VGG
-    blocks; already-converted blocks pass through unchanged.
+    blocks; already-converted blocks pass through unchanged. A batch norm
+    that 16-bit fixed point cannot hold raises ``GraphError`` naming its
+    layer.
     """
     if mode not in ("vgg-threshold", "resnet-qbn"):
         raise ValueError(f"unknown conversion mode {mode!r}")
@@ -316,7 +318,10 @@ def convert_model(model: Model, mode: str) -> tuple[Model, ConversionReport]:
             constant.extend((i, int(c)) for c in thr.constant_channels() if not gamma_zero[c])
             blocks.append(VggBlock(blk.kernel, blk.spec, thr))
         else:
-            qbn, _ = quantize_bn(blk.bn)
+            try:
+                qbn, _ = quantize_bn(blk.bn)
+            except OverflowError as exc:
+                raise GraphError(f"layer {i}: {exc}") from exc
             blocks.append(ResnetBlock(blk.kernel, blk.spec, qbn))
     return Model(blocks), ConversionReport(constant, gzero)
 

@@ -215,7 +215,10 @@ def make_toy_task(
     epochs_stage1: int = 30,
     epochs_stage2: int = 10,
 ) -> ToyTask:
-    """Build the deterministic toy classification task from one seed."""
+    """Build the deterministic toy classification task from one seed, an
+    integer in [0, 2**64) (the uint64 the task's stream is seeded from)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if variant not in ("vgg", "resnet"):
         raise ValueError(f"unknown variant {variant!r}")
     if min(n_train, n_val, batch_size) < 1 or not 0.0 <= noise < math.inf:

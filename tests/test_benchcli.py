@@ -556,6 +556,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1 warning(s)" in out and "gamma == 0" in out
 
+    def test_convert_unquantizable_batch_norm_exits_2(self, tmp_path, capsys):
+        # gamma 1e6 exceeds 16-bit fixed point: an error naming the layer,
+        # no traceback and no output file
+        c = 4
+        blk = netgraph.FloatBlock(
+            benchcli.pack_weights(np.ones((c, 3, 3, c))),
+            benchcli.ConvSpec(spatial_pad=(1, 1)),
+            benchcli.bnquant.BNParams(np.full(c, 1e6), np.zeros(c), np.zeros(c), np.ones(c)),
+        )
+        src, dst = tmp_path / "f.bdf", tmp_path / "o.bdf"
+        netgraph.save_model(netgraph.Model([blk]), src)
+        code = main(["convert", "--in", str(src), "--out", str(dst), "--mode", "resnet-qbn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot convert") and "layer 0: batch-norm parameter" in err
+        assert not dst.exists()
+
     def test_convert_missing_file(self, capsys):
         assert main(["convert", "--in", "/nonexistent", "--out", "/tmp/x",
                      "--mode", "vgg-threshold"]) == 1

@@ -389,15 +389,16 @@ def fused_tile_bytes(x_dims, k, spec, rows, group=1):
     """Working set of one fused tile of ``rows`` output rows: the packed
     input rows it reads, the kernel, and per output word the XOR (one word),
     count (1 byte) and lane buffers, plus the accumulator. A lane is 1 byte
-    while the filter's taps add at most 255 matches to it, else 2; the
-    accumulator 2 bytes while twice a site's matches stay below 2**15, else 4.
+    while the filter's taps add at most 255 matches to it, 2 while at most
+    65,535, else 4; the accumulator 2 bytes while twice a site's matches stay
+    below 2**15, else 4.
     Each tap of a ``group`` beyond the first adds its slab, XOR and count."""
     n, _, ow, out = output_shape(x_dims, k.dims, spec)
     _, _, w, cin = x_dims
     _, fh, fw, _ = k.dims
     wps = k.words_per_site
     word = 8 if wps > 1 else next(b for b in (1, 2, 4, 8) if cin <= 8 * b)
-    lane = 1 if fh * fw * 8 * word <= 255 else 2
+    lane = next(b for b in (1, 2, 4) if fh * fw * 8 * word < 1 << (8 * b))
     acc = 2 if 2 * fh * fw * 8 * word * wps < 1 << 15 else 4
     in_rows = (rows - 1) * spec.stride[0] + fh
     packed = (in_rows * n * (w + 2 * spec.spatial_pad[1]) + fh * fw * out) * wps * word
@@ -580,23 +581,6 @@ class TestConvFused:
             assert np.array_equal(fused, oracle_i8(x.values, None, w, spec))
             assert (fused == np.clip(sign * 25 * cin, -127, 127)).all()
 
-    @pytest.mark.parametrize("tile_rows", [1, None])
-    def test_more_taps_than_one_lane_drain(self, tile_rows):
-        # a 1x1100 filter over 64 channels: 70,400 matches per site overflow
-        # a uint16 lane unless it drains every 1023 taps; one site against
-        # two filters keeps filters innermost, three sites put sites there
-        w = np.ones((2, 1, 1100, 64), dtype=np.int8)
-        k = pack_weights(w)
-        spec = ConvSpec()
-        always = ThresholdParams(np.full(64, -3, dtype=np.int16), np.zeros(64, dtype=np.uint8))
-        for n in (1, 3):
-            x = I8FeatureMap(np.ones((n, 1, 1100, 64), dtype=np.int8))
-            for thr in (None, always):
-                fused = conv_fused(x, thr, fuse_kernel(k), spec, tile_rows=tile_rows).values
-                assert np.array_equal(fused, staged_conv_i8(x, thr, k, spec).values)
-                assert np.array_equal(fused, oracle_i8(x.values, thr, w, spec))
-                assert (fused == 127).all()
-
     @pytest.mark.parametrize(
         "fh,fw,cin,lane,acc",
         [
@@ -605,7 +589,11 @@ class TestConvFused:
             (15, 17, 64, np.uint16, np.int16),  # 2 * 255 words * 64 = 32640
             (16, 16, 64, np.uint16, np.int32),  # 2 * 256 words * 64 = 32768
             (8, 16, 128, np.uint16, np.int32),  # 2 * 128 taps * 2 words * 64
-            (1, 1100, 64, np.uint16, np.int32),  # drains mid-loop
+            (1, 1023, 64, np.uint16, np.int32),  # 65,472 matches per lane
+            (1, 1024, 64, np.uint32, np.int32),  # 65,536 would wrap a uint16 lane
+            (1, 1100, 64, np.uint32, np.int32),
+            (1, 8191, 8, np.uint16, np.int32),  # 65,528
+            (1, 8192, 8, np.uint32, np.int32),  # 65,536
         ],
     )
     def test_lane_and_accumulator_types(self, fh, fw, cin, lane, acc):
@@ -613,18 +601,18 @@ class TestConvFused:
         assert (k.lane, k.acc) == (np.dtype(lane), np.dtype(acc))
 
     @pytest.mark.parametrize(
-        "fh,fw,cin,sums", [(3, 3, 8, 0), (1, 31, 8, 0), (4, 8, 8, 0), (3, 3, 65, 1), (1, 1100, 64, 2)]
+        "fh,fw,cin,sums", [(3, 3, 8, 0), (1, 31, 8, 0), (4, 8, 8, 0), (3, 3, 65, 1), (1, 1100, 64, 0)]
     )
     def test_word_axis_sums(self, monkeypatch, fh, fw, cin, sums):
-        # a one-word site that never drains mid-loop hands its lanes to the
-        # epilogue; two words sum once; 1100 taps of 64 bits drain at 1023
-        calls = []
-        real = binconv._add_words
-        monkeypatch.setattr(binconv, "_add_words", lambda *a: calls.append(1) or real(*a))
+        # a one-word site hands its lanes to the epilogue unsummed (counts
+        # in the lane type); two words sum once, into the accumulator type
+        dtypes = []
+        spy_groups(monkeypatch, dtypes=dtypes)
         x = I8FeatureMap(np.ones((1, fh, fw, cin), dtype=np.int8))
         w = np.ones((2, fh, fw, cin), dtype=np.int8)
-        fused = conv_fused(x, None, fuse_kernel(pack_weights(w)), ConvSpec()).values
-        assert len(calls) == sums
+        k = fuse_kernel(pack_weights(w))
+        fused = conv_fused(x, None, k, ConvSpec()).values
+        assert dtypes == [k.acc if sums else k.lane]
         assert (fused == min(fh * fw * cin, 127)).all()
 
     @pytest.mark.parametrize("tile_rows", [1, None])
@@ -683,16 +671,20 @@ class TestConvFused:
                 assert np.array_equal(fused, oracle_i8(vals, t, w, spec))
 
 
-def spy_groups(monkeypatch, force=None):
+def spy_groups(monkeypatch, force=None, dtypes=None):
     """Record (rows, group) of every fused tile; ``force`` replaces the
-    chosen group with that many taps."""
+    chosen group with that many taps, and ``dtypes``, when given, takes the
+    dtype of each tile's match counts."""
     tiles = []
     real = binconv._tile_matches
 
     def spy(buf, k, sh, sw, oh, ow, group):
         group = group if force is None else force
         tiles.append((oh, group))
-        return real(buf, k, sh, sw, oh, ow, group)
+        counts = real(buf, k, sh, sw, oh, ow, group)
+        if dtypes is not None:
+            dtypes.append(counts.dtype)
+        return counts
 
     monkeypatch.setattr(binconv, "_tile_matches", spy)
     return tiles
@@ -758,36 +750,36 @@ class TestTapGroups:
             assert (fused == sign * 127).all()
 
     @pytest.mark.parametrize(
-        "taps,group,sums",
-        [(1023, 1023, 0), (1023, 512, 0), (1024, 512, 2), (1100, 1023, 2), (1100, 550, 2)],
+        "taps,group,lane",
+        [(1023, 1023, np.uint16), (1023, 512, np.uint16), (1024, 512, np.uint32),
+         (1024, 1024, np.uint32), (1100, 1, np.uint32), (1100, 550, np.uint32),
+         (1100, 1100, np.uint32)],
     )
-    def test_uint16_lanes_drain_between_groups(self, monkeypatch, taps, group, sums):
-        # 64-bit words: uint16 lanes hold 1023 taps. Groups that fill them
-        # exactly never drain; one more tap drains before the next group
-        # (then the end sums again). All taps match, so a lane that wrapped
-        # at 65,536 would give -127, not +127
+    def test_lanes_hold_every_tap_past_the_uint16_limit(self, monkeypatch, taps, group, lane):
+        # 64-bit words: uint16 lanes hold 1023 taps' 65,472 matches, so 1023
+        # taps keep them and 1024 take uint32 lanes, under any group. All
+        # taps match, so a lane that wrapped at 65,536 would give -127, not
+        # +127. One site against two filters keeps filters innermost, three
+        # sites put sites there
         tiles = spy_groups(monkeypatch, force=group)
-        calls = []
-        real = binconv._add_words
-        monkeypatch.setattr(binconv, "_add_words", lambda *a: calls.append(1) or real(*a))
         w = np.ones((2, 1, taps, 64), dtype=np.int8)
         k = pack_weights(w)
-        assert fuse_kernel(k).lane_taps == 1023
+        assert fuse_kernel(k).lane == lane
         always = ThresholdParams(np.full(64, -3, dtype=np.int16), np.zeros(64, dtype=np.uint8))
         for n in (1, 3):
             x = I8FeatureMap(np.ones((n, 1, taps, 64), dtype=np.int8))
             for thr in (None, always):
-                calls.clear()
                 fused = conv_fused(x, thr, fuse_kernel(k), ConvSpec()).values
-                assert len(calls) == sums
                 assert np.array_equal(fused, staged_conv_i8(x, thr, k, ConvSpec()).values)
+                assert np.array_equal(fused, oracle_i8(x.values, thr, w, ConvSpec()))
                 assert (fused == 127).all()
         assert {g for _, g in tiles} == {group}
 
-    def test_group_never_exceeds_the_lanes(self):
+    def test_group_is_capped_at_the_filter_taps(self):
+        # 1100 taps fit one group: the cap is fh*fw, whatever the lane type
         k = fuse_kernel(pack_weights(np.ones((2, 1, 1100, 64))))
         x_dims = (1, 1, 1100, 64)
-        assert tile_plan(x_dims, k, ConvSpec(), 1) == (1, 1023)
+        assert tile_plan(x_dims, k, ConvSpec(), 1) == (1, 1100)
 
     @pytest.mark.parametrize(
         "n,hw,cin,out,f,stride",
@@ -802,7 +794,7 @@ class TestTapGroups:
         oh = output_shape(x_dims, k.dims, spec)[1]
         rows, group = tile_plan(x_dims, k, spec, oh)
         assert rows == oh
-        cap = min(f * f, k.lane_taps)
+        cap = f * f
         assert 1 <= group <= cap
         assert group == 1 or fused_tile_bytes(x_dims, k, spec, oh, group) <= TILE_BYTE_BUDGET
         assert group == cap or fused_tile_bytes(x_dims, k, spec, oh, group + 1) > TILE_BYTE_BUDGET
@@ -811,14 +803,22 @@ class TestTapGroups:
         assert tile_plan(x_dims, k, spec, oh, threads=2) == (oh, 1)
 
     def test_benchmark_shapes(self, monkeypatch):
-        # the batch-1 toy-VGG stem runs its 9 taps as one group; the
-        # batch-100 stem, a resnet-body block on 2 workers and every
-        # default-suite shape keep one tap a group
+        # the batch-1 toy-VGG stem runs its 9 taps as one group over one
+        # 16-row tile; the batch-100 stem, a resnet-body block on 2 workers
+        # and every default-suite shape keep one tap a group. The stem runs
+        # uint8 words and lanes with an int16 accumulator and a wrapped
+        # epilogue, the body uint64 words, uint16 lanes and int16 with the clamp
         tiles = spy_groups(monkeypatch)
         stem = fuse_kernel(pack_weights(np.ones((64, 3, 3, 8))))
-        same = ConvSpec(spatial_pad=(1, 1))
-        cases = [((1, 16, 16, 8), stem, same, 1, {9}), ((100, 16, 16, 8), stem, same, 1, {1})]
         body = fuse_kernel(pack_weights(np.ones((256, 3, 3, 256))))
+        u8, u16, u64, i16 = map(np.dtype, (np.uint8, np.uint16, np.uint64, np.int16))
+        assert (stem.word, stem.lane, stem.acc, stem.wrap) == (u8, u8, i16, True)
+        assert (body.word, body.lane, body.acc, body.wrap) == (u64, u16, i16, False)
+        same = ConvSpec(spatial_pad=(1, 1))
+        assert tile_plan((1, 16, 16, 8), stem, same) == (16, 9)
+        assert tile_plan((100, 16, 16, 8), stem, same) == (2, 1)
+        assert tile_plan((8, 14, 14, 256), body, same, threads=2) == (1, 1)
+        cases = [((1, 16, 16, 8), stem, same, 1, {9}), ((100, 16, 16, 8), stem, same, 1, {1})]
         cases.append(((8, 14, 14, 256), body, same, 2, {1}))
         for cfg in default_suite():
             _, kernel, _ = _build_workload(cfg, 1)

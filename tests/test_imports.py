@@ -1,4 +1,5 @@
-"""Every name a source module imports is used in that module."""
+"""Every name a source module imports is used in that module, and every
+private module-level function or class is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,39 @@ def test_checker_flags_an_unused_name():
     source = "from __future__ import annotations\nimport os, numpy as np\n"
     source += "from a import b, c\nc(np)\n"
     assert unused_imports(source) == ["line 2: os", "line 3: b"]
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """Private (one leading underscore) module-level functions and classes
+    of ``sources`` (module name -> source) that no name or attribute in any
+    of the sources reads. A name is matched across modules, not resolved."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{m} line {line}: {name}" for m, line, name in defined if name not in used)
+
+
+def test_no_unreferenced_private_defs():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+        "def _by_attr(): pass\ndef public(): pass\ndef __dunder__(): pass\n",
+        "b": "from . import a\nfrom .a import _used\n_used(a._by_attr)\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a line 2: _dead", "a line 3: _Gone"]

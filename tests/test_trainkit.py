@@ -215,9 +215,16 @@ class TestToyTask:
             ("widths", (16, 16)),  # resnet blocks keep the input's 8 channels
             ("widths", (8, 4, 8)),
             ("widths", ()),
+            ("seed", -1),  # the task's stream takes a uint64 seed
+            ("seed", 2**64),
+            ("seed", 1.5),  # not truncated to seed 1
         ],
     )
     def test_degenerate_sizes_are_rejected(self, name, value):
+        if name == "seed":
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                make_toy_task(seed=value)
+            return
         if name == "widths":
             with pytest.raises(ValueError, match="resnet widths"):
                 make_toy_task(variant="resnet", widths=value)
