@@ -35,7 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import binconv, bitcore, bnquant, netgraph
-from .binconv import ConvSpec, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8
+from .binconv import (
+    ConvSpec, check_threads, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8,
+)
 from .bitcore import I8_MAX, I8FeatureMap, pack_weights, pm1
 
 DEFAULT_SEED = 0xB17F10
@@ -47,10 +49,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# Largest repeat (and warmup) count and thread count a bench run accepts, so
-# an absurd value is a usage error, not a run that lasts until it is killed.
+# Largest repeat (and warmup) count a bench run accepts, so an absurd value
+# is a usage error, not a run that lasts until it is killed. The thread count
+# is bounded by binconv.check_threads.
 _MAX_REPEATS = 10_000
-_MAX_THREADS = 64
 
 # Largest array (elements) a bench stanza or a model file's validation input
 # may ask for.
@@ -308,8 +310,7 @@ def run_bench(
         raise ValueError(f"repeats must be in [5, {_MAX_REPEATS}], got {repeats}")
     if not 0 <= warmup <= _MAX_REPEATS:
         raise ValueError(f"warmup must be in [0, {_MAX_REPEATS}], got {warmup}")
-    if not 1 <= threads <= _MAX_THREADS:
-        raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
+    check_threads(threads)
     if not variants or len(set(variants)) < len(variants):
         raise ValueError(f"variants must be one or more distinct names, got {list(variants)}")
     with _blas_threads_at(threads) as blas:  # float-reference's GEMMs at `threads`

@@ -35,7 +35,10 @@ every tap to int32. The fused kernel XORs a group of taps against every
 filter at once in ``(taps·wps, A, B)`` buffers whose inner axis B is the
 longer of the tile's sites (also on a tie) and filters, as numpy pays a
 fixed cost per inner loop, then counts and sums the group's taps into
-narrow lanes, sized to hold every tap, in one call each. A one-word site
+narrow lanes, sized to hold every tap, in one call each. The XOR of 4- and
+8-byte words runs under a 16-element ufunc buffer, so numpy iterates its
+broadcast operands in place instead of copying them through the buffer;
+narrower words, and every other call, keep the default. A one-word site
 skips the word-axis sum, and the epilogue stays in the accumulator type,
 or in uint8 where the clamp cannot fire. Both kernels split output rows
 into spans with :func:`_run_row_spans`.
@@ -68,6 +71,10 @@ PAD_VALUE = -1
 
 # The dense oracle is exact below this many taps (fh * fw * cin) in float32.
 ORACLE_MAX_TAPS = 1 << 24
+
+# Most worker threads one engine call may use: the row-span pool starts up to
+# this many, so an absurd count is an error, not one OS thread per row.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,11 @@ def _pad_words(words: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
+# Ufunc buffer (elements) of the fused XOR of 4- and 8-byte words: numpy then
+# iterates its broadcast operands in place, where the default buffer copies
+# them (88 -> 34 us on a (4, 112, 256) uint64 group; narrower words slow down).
+_WIDE_XOR_BUFSIZE = 16
+
 # Multiplying by this sums a word's eight bytes into its top byte.
 _H8 = np.uint64(0x0101010101010101)
 
@@ -173,7 +185,10 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     order (the last group may be shorter): it copies each of the group's
     input slabs into one block, then makes one XNOR, one
     ``np.bitwise_count`` into bytes and one sum over the group's taps into
-    the lanes; a group of one tap is the plain per-tap loop. The lanes hold
+    the lanes; a group of one tap is the plain per-tap loop. The XOR of 4-
+    and 8-byte words runs under a ``_WIDE_XOR_BUFSIZE`` ufunc buffer, set in
+    an ``np.errstate()`` scope so the caller's buffer size comes back; every
+    other call keeps the default buffer. The lanes hold
     every tap's matches; at the end a one-word site returns its lanes
     themselves, and a wider one sums them over words into ``k.acc``.
     ``buf`` is ``(wps, n, rows, w)`` in ``k.word``; each tap's slab is one
@@ -202,13 +217,20 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     xbuf = np.empty((group * wps, *shape[1:]), dtype=buf.dtype)
     counts = np.empty(xbuf.shape, dtype=np.uint8)
     lanes = np.zeros(shape, dtype=k.lane)
+    wide = k.word.itemsize >= 4
     for t0 in range(0, taps, group):
         g = min(group, taps - t0)
         for t in range(g):
             gathered[t] = slabs[divmod(t0 + t, fw)]
         m = g * wps
         xs, xg, cg = (x, xbuf, counts) if g == group else (x[:m], xbuf[:m], counts[:m])
-        np.bitwise_xor(xs, kin[t0 * wps : t0 * wps + m], out=xg)
+        kg = kin[t0 * wps : t0 * wps + m]
+        if wide:
+            with np.errstate():  # restores the caller's buffer size on exit
+                np.setbufsize(_WIDE_XOR_BUFSIZE)
+                np.bitwise_xor(xs, kg, out=xg)
+        else:  # an errstate scope costs about 1.7 us a group
+            np.bitwise_xor(xs, kg, out=xg)
         np.bitwise_count(xg, out=cg)
         # one tap's counts are its own sum (a length-1 reduce costs more than the add)
         lanes += cg if g == 1 else np.add.reduce(cg.reshape(g, *shape), axis=0, dtype=k.lane)
@@ -216,6 +238,12 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     if sites >= out:
         return acc.reshape(out, n, oh, ow).transpose(1, 2, 3, 0)
     return acc.reshape(n, oh, ow, out)
+
+
+def check_threads(threads) -> None:
+    """Raise ``ValueError`` unless ``threads`` is an integer in [1, MAX_THREADS]."""
+    if not isinstance(threads, (int, np.integer)) or not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {MAX_THREADS}] as an integer, got {threads!r}")
 
 
 def _run_row_spans(oh: int, span_rows: int, threads: int, work) -> None:
@@ -238,6 +266,7 @@ def conv_i32(
     Every output element is the +-1 dot product over the receptive field,
     recovered from match counts as 2*matches - _match_bias(...).
     """
+    check_threads(threads)
     n, oh, ow, out = output_shape(x.dims, k.dims, spec)
     _, fh, fw, cin = k.dims
     sh, sw = spec.stride
@@ -249,7 +278,7 @@ def conv_i32(
         rows = padded[:, y0 * sh : (y1 - 1) * sh + fh]
         _match_counts(rows, kinv, fh, fw, sh, sw, acc[:, y0:y1])
 
-    _run_row_spans(oh, -(-oh // max(threads, 1)), threads, work)
+    _run_row_spans(oh, -(-oh // threads), threads, work)
     return I32FeatureMap(2 * acc - _match_bias(fh, fw, cin, WORD_BITS * k.words_per_site))
 
 
@@ -331,21 +360,25 @@ def tile_plan(
     neighbouring output rows share; ``row`` is each output row's XOR, count
     and lane buffers (word, 1 and lane bytes per word), accumulator and
     input rows; ``tap`` is each extra grouped tap's slab, XOR and count words.
+    A one-word site whose lanes are uint8 and whose epilogue wraps in uint8
+    allocates no accumulator: the tile returns its lanes uncopied.
 
     Default rows are the most that fit ``TILE_BYTE_BUDGET``, at most one
     worker's share; passed rows are clamped to [1, oh]. A group is one tap
     unless one tile covers every output row on one worker; then it is the
     most taps that fit the budget left, up to fh*fw.
     """
+    check_threads(threads)
     n, oh, ow, out = output_shape(x_dims, k.dims, spec)
     _, fh, fw, _ = k.dims
     sh = spec.stride[0]
     wps, word = k.words_per_site, k.word.itemsize
     in_row = n * (x_dims[2] + 2 * spec.spatial_pad[1]) * wps * word
     fixed = k.kinv.size * word + (fh - sh) * in_row
-    row = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + k.acc.itemsize) + sh * in_row
+    acc = 0 if wps == 1 and k.wrap and k.lane == np.uint8 else k.acc.itemsize
+    row = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + acc) + sh * in_row
     if tile_rows is None:
-        tile_rows = min((TILE_BYTE_BUDGET - fixed) // row, -(-oh // max(threads, 1)))
+        tile_rows = min((TILE_BYTE_BUDGET - fixed) // row, -(-oh // threads))
     rows = max(1, min(tile_rows, oh))
     if rows < oh or threads > 1:
         return rows, 1
@@ -369,6 +402,8 @@ def conv_fused(
     absent the input is binarized by sign. The result is bit-identical to
     the staged pipeline (binarize, pack, pad, conv_i8) for every tile size,
     tap group and worker count; tiles and groups only bound the working set.
+    :func:`tile_plan` rejects ``threads`` outside [1, MAX_THREADS] before
+    any tile runs.
     """
     if thr is not None and thr.channels != x_prev.channels:
         raise ValueError(

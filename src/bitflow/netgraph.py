@@ -48,6 +48,7 @@ import numpy as np
 from .binconv import (
     ConvSpec,
     FusedKernel,
+    check_threads,
     conv_float_oracle,
     conv_fused,
     conv_i8,
@@ -233,8 +234,13 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
 
     The input is binarized by sign into a +-1 8-bit map; blocks then run
     sequentially. :func:`block_shapes` checks the whole model against the
-    input before the first block runs.
+    input before the first block runs, and ``threads`` must be an integer in
+    [1, ``binconv.MAX_THREADS``].
     """
+    try:
+        check_threads(threads)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
     x = np.asarray(x)
     if x.ndim != 4:
         raise GraphError(f"input must be NHWC, got shape {x.shape}")

@@ -50,7 +50,7 @@ class TestConfigs:
             ("warmup", -1, 0),
             ("warmup", benchcli._MAX_REPEATS + 1, benchcli._MAX_REPEATS),
             ("threads", 0, 1),
-            ("threads", benchcli._MAX_THREADS + 1, benchcli._MAX_THREADS),
+            ("threads", binconv.MAX_THREADS + 1, binconv.MAX_THREADS),
         ],
         ids=["repeats-floor", "repeats-ceiling", "warmup-floor", "warmup-ceiling",
              "threads-floor", "threads-ceiling"],
@@ -325,7 +325,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag,value",
         [("--threads", "0"), ("--warmup", "-5"), ("--repeats", "100000000000000"),
-         ("--threads", "100000")],
+         ("--threads", "65"), ("--threads", "100000")],
     )
     def test_bench_count_out_of_range_is_a_usage_error(self, tmp_path, capsys, flag, value):
         threads_before = threading.active_count()
@@ -333,6 +333,12 @@ class TestCli:
         assert main(argv) == 2
         assert f"{flag[2:]} must be in" in capsys.readouterr().err
         assert threading.active_count() == threads_before
+
+    def test_bench_fractional_threads_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--threads", "2.5", "--config", str(_write_cfg(tmp_path))])
+        assert err.value.code == 2
+        assert "invalid int value: '2.5'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,why",

@@ -391,7 +391,8 @@ def fused_tile_bytes(x_dims, k, spec, rows, group=1):
     count (1 byte) and lane buffers, plus the accumulator. A lane is 1 byte
     while the filter's taps add at most 255 matches to it, 2 while at most
     65,535, else 4; the accumulator 2 bytes while twice a site's matches stay
-    below 2**15, else 4.
+    below 2**15, else 4, and none where a one-word site's 1-byte lanes are
+    its output bytes (at most 127 taps, where the clamp cannot fire).
     Each tap of a ``group`` beyond the first adds its slab, XOR and count."""
     n, _, ow, out = output_shape(x_dims, k.dims, spec)
     _, _, w, cin = x_dims
@@ -400,6 +401,8 @@ def fused_tile_bytes(x_dims, k, spec, rows, group=1):
     word = 8 if wps > 1 else next(b for b in (1, 2, 4, 8) if cin <= 8 * b)
     lane = next(b for b in (1, 2, 4) if fh * fw * 8 * word < 1 << (8 * b))
     acc = 2 if 2 * fh * fw * 8 * word * wps < 1 << 15 else 4
+    if wps == 1 and lane == 1 and fh * fw * cin <= 127:
+        acc = 0
     in_rows = (rows - 1) * spec.stride[0] + fh
     packed = (in_rows * n * (w + 2 * spec.spatial_pad[1]) + fh * fw * out) * wps * word
     grouped = (group - 1) * rows * n * ow * wps * (out * (word + 1) + word)
@@ -481,10 +484,10 @@ class TestConvFused:
         k = fuse_kernel(pack_weights(np.ones((64, 3, 3, 8))))
         spec = ConvSpec(spatial_pad=(1, 1))
         batches = (1, 2, 8, 100, 400)
-        picks = [tile_plan((n, 256, 16, 8), k, spec)[0] for n in batches]
-        assert picks[0] < 256
+        picks = [tile_plan((n, 512, 16, 8), k, spec)[0] for n in batches]
+        assert picks[0] < 512
         for n, rows in zip(batches, picks):
-            assert_tile_fits_budget((n, 256, 16, 8), k, spec, rows)
+            assert_tile_fits_budget((n, 512, 16, 8), k, spec, rows)
         assert picks[0] > picks[1] > picks[2] > picks[3] >= picks[4] >= 1
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -816,7 +819,7 @@ class TestTapGroups:
         assert (body.word, body.lane, body.acc, body.wrap) == (u64, u16, i16, False)
         same = ConvSpec(spatial_pad=(1, 1))
         assert tile_plan((1, 16, 16, 8), stem, same) == (16, 9)
-        assert tile_plan((100, 16, 16, 8), stem, same) == (2, 1)
+        assert tile_plan((100, 16, 16, 8), stem, same) == (3, 1)
         assert tile_plan((8, 14, 14, 256), body, same, threads=2) == (1, 1)
         cases = [((1, 16, 16, 8), stem, same, 1, {9}), ((100, 16, 16, 8), stem, same, 1, {1})]
         cases.append(((8, 14, 14, 256), body, same, 2, {1}))
@@ -833,6 +836,94 @@ class TestTapGroups:
         tiles = spy_groups(monkeypatch)
         assert fusion_sweep(np.random.default_rng(5), 10).ok
         assert {g > 1 for _, g in tiles} == {True, False}
+
+
+# threads an engine call must reject before it starts any pool
+BAD_THREADS = [0, binconv.MAX_THREADS + 1, 10**6, 2.5]
+
+
+def forbid_pools(monkeypatch):
+    """Make constructing the row-span pool fail, so no test starts a thread."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(binconv, "ThreadPoolExecutor", no_pool)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    def test_out_of_range_threads_start_no_pool(self, monkeypatch, threads):
+        forbid_pools(monkeypatch)
+        x = I8FeatureMap(np.ones((1, 40, 4, 3), dtype=np.int8))
+        k = pack_weights(np.ones((2, 3, 3, 3)))
+        spec = ConvSpec(spatial_pad=(1, 1))
+        calls = [
+            lambda: conv_fused(x, None, fuse_kernel(k), spec, threads=threads),
+            lambda: conv_i32(pack_activations(x.values), k, spec, threads=threads),
+            lambda: conv_i8(pack_activations(x.values), k, spec, threads=threads),
+            lambda: staged_conv_i8(x, None, k, spec, threads=threads),
+            lambda: tile_plan(x.dims, fuse_kernel(k), spec, threads=threads),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"threads must be in \[1, 64\]"):
+                call()
+
+    @pytest.mark.parametrize("threads", [1, np.int64(2), binconv.MAX_THREADS])
+    def test_threads_in_range_run(self, threads):
+        x = I8FeatureMap(np.ones((1, 5, 4, 3), dtype=np.int8))
+        k = pack_weights(np.ones((2, 3, 3, 3)))
+        spec = ConvSpec(spatial_pad=(1, 1))
+        want = staged_conv_i8(x, None, k, spec).values
+        assert np.array_equal(conv_fused(x, None, fuse_kernel(k), spec, threads=threads).values, want)
+        assert np.array_equal(staged_conv_i8(x, None, k, spec, threads=threads).values, want)
+
+
+class TestUfuncBuffer:
+    # one word of uint8, uint16, uint32 and uint64, then two and three
+    # uint64 words per site
+    CHANNELS = {5: np.uint8, 12: np.uint16, 24: np.uint32, 50: np.uint64,
+                100: np.uint64, 150: np.uint64}
+
+    @pytest.mark.parametrize("bufsize", [16, 8192, 1 << 20])
+    @pytest.mark.parametrize("cin", sorted(CHANNELS))
+    def test_outputs_and_caller_buffer_survive_any_buffer_size(self, monkeypatch, bufsize, cin):
+        # grouped (one covering tile) and one-tap tiles, with and without
+        # thresholds, on one and two workers, under the caller's buffer size
+        tiles = spy_groups(monkeypatch)
+        rng = np.random.default_rng(cin)
+        vals = rng.integers(-127, 128, size=(2, 5, 6, cin)).astype(np.int8)
+        x = I8FeatureMap(vals)
+        k = pack_weights(rng.choice([-1, 1], size=(7, 3, 3, cin)).astype(np.int8))
+        fused = fuse_kernel(k)
+        assert fused.word == self.CHANNELS[cin] and fused.words_per_site == -(-cin // 64)
+        spec = ConvSpec(spatial_pad=(1, 1))
+        thrs = (None, TestConvFused()._random_threshold(rng, cin))
+        want = [staged_conv_i8(x, t, k, spec).values for t in thrs]
+        with np.errstate():
+            np.setbufsize(bufsize)
+            for t, staged in zip(thrs, want):
+                for tile_rows in (None, 1):
+                    for threads in (1, 2):
+                        got = conv_fused(x, t, fused, spec, tile_rows, threads).values
+                        assert np.array_equal(got, staged)
+                        assert np.getbufsize() == bufsize
+        assert {g for _, g in tiles} == {1, 9}
+
+    @pytest.mark.parametrize("cin", sorted(CHANNELS))
+    def test_only_wide_words_xor_under_the_small_buffer(self, monkeypatch, cin):
+        sizes = []
+        real = np.setbufsize
+        monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or real(size))
+        x = I8FeatureMap(np.ones((1, 4, 4, cin), dtype=np.int8))
+        k = fuse_kernel(pack_weights(np.ones((3, 3, 3, cin))))
+        spec = ConvSpec(spatial_pad=(1, 1))
+        for tile_rows in (None, 1):
+            sizes.clear()
+            conv_fused(x, None, k, spec, tile_rows)
+            groups = 1 if tile_rows is None else 9 * 4  # one covering group, or every tap
+            assert sizes == ([16] * groups if k.word.itemsize >= 4 else [])
+        assert np.getbufsize() == 8192
 
 
 # (batch, side, cin, cout, threads) of the benchmark models' 3x3 convolutions

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bitflow.netgraph as ng
+from bitflow import binconv
 from bitflow.binconv import ConvSpec, conv_float_oracle, conv_i8
 from bitflow.bitcore import I8FeatureMap, pack_activations, pack_weights, unpack_bits
 from bitflow.benchcli import random_model
@@ -319,6 +320,17 @@ class TestRunModel:
         h = run_vgg_block(h, blocks[2])
         h = run_vgg_block(h, blocks[3])
         assert np.array_equal(got.values, h.values)
+
+    @pytest.mark.parametrize("threads", [0, 65, 10**6, 2.5])
+    def test_out_of_range_threads_rejected_before_any_pool(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(binconv, "ThreadPoolExecutor", no_pool)
+        model = random_model(np.random.default_rng(3))
+        x = np.ones((1, 40, 4, model.blocks[0].kernel.in_channels))
+        with pytest.raises(GraphError, match=r"threads must be in \[1, 64\]"):
+            run_model(model, x, threads=threads)
 
     @pytest.mark.parametrize("seed,first", [(3, ResnetBlock), (1, VggBlock)])
     def test_empty_batch_rejected(self, seed, first):
