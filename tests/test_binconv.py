@@ -838,10 +838,6 @@ class TestTapGroups:
         assert {g > 1 for _, g in tiles} == {True, False}
 
 
-# threads an engine call must reject before it starts any pool
-BAD_THREADS = [0, binconv.MAX_THREADS + 1, 10**6, 2.5]
-
-
 def forbid_pools(monkeypatch):
     """Make constructing the row-span pool fail, so no test starts a thread."""
 
@@ -852,7 +848,7 @@ def forbid_pools(monkeypatch):
 
 
 class TestThreads:
-    @pytest.mark.parametrize("threads", BAD_THREADS)
+    @pytest.mark.parametrize("threads", [0, binconv.MAX_THREADS + 1, 10**6, 2.5])
     def test_out_of_range_threads_start_no_pool(self, monkeypatch, threads):
         forbid_pools(monkeypatch)
         x = I8FeatureMap(np.ones((1, 40, 4, 3), dtype=np.int8))
