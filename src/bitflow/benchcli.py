@@ -39,8 +39,7 @@ from .binconv import (
     ConvSpec, check_threads, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8,
 )
 from .bitcore import I8_MAX, I8FeatureMap, pack_weights, pm1
-
-DEFAULT_SEED = 0xB17F10
+from .trainkit import DEFAULT_SEED, check_seed
 
 VARIANTS = ("i8-fused", "i32-staged", "float-reference")
 BASELINE_VARIANT = "i32-staged"
@@ -270,14 +269,13 @@ def _variant_runner(variant: str, cfg: BenchConfig, x, kernel, w_float, threads:
         return lambda: conv_fused(x, None, fused, spec, threads=threads)
     if variant == "i32-staged":
         return lambda: staged_conv_i8(x, None, kernel, spec, threads=threads)
-    if variant == "float-reference":  # signs and (K, out) weights built once, untimed
-        signs, wmat = pm1(x.values >= 0), w_float.reshape(cfg.c_out, -1).T.astype(np.float32)
+    # float-reference: signs and (K, out) weights built once, untimed
+    signs, wmat = pm1(x.values >= 0), w_float.reshape(cfg.c_out, -1).T.astype(np.float32)
 
-        def dense():
-            f = binconv.gemm_rows(binconv.im2col(signs, cfg.filter, cfg.filter, spec), wmat)
-            return I8FeatureMap.saturate(f)
-        return dense
-    raise ValueError(f"unknown variant {variant!r}")
+    def dense():
+        f = binconv.gemm_rows(binconv.im2col(signs, cfg.filter, cfg.filter, spec), wmat)
+        return I8FeatureMap.saturate(f)
+    return dense
 
 
 def _minor_faults() -> int:
@@ -304,7 +302,8 @@ def run_bench(
     read just outside each timed call, and each row gives their mean per
     call. The loaded OpenBLAS runs at
     ``threads`` threads meanwhile, and the report records that count.
-    Out-of-range counts raise ``ValueError`` before any workload is built.
+    Out-of-range counts and unknown or repeated variant names raise
+    ``ValueError`` before any workload is built.
     """
     if not 5 <= repeats <= _MAX_REPEATS:
         raise ValueError(f"repeats must be in [5, {_MAX_REPEATS}], got {repeats}")
@@ -313,6 +312,9 @@ def run_bench(
     check_threads(threads)
     if not variants or len(set(variants)) < len(variants):
         raise ValueError(f"variants must be one or more distinct names, got {list(variants)}")
+    for v in variants:
+        if v not in VARIANTS:
+            raise ValueError(f"unknown variant {v!r}; choose from {', '.join(VARIANTS)}")
     with _blas_threads_at(threads) as blas:  # float-reference's GEMMs at `threads`
         report = BenchReport(blas_threads=blas)
         for cfg in configs:
@@ -582,10 +584,6 @@ def validate_model_file(path, rng) -> SweepResult:
 def cmd_bench(args) -> int:
     configs = parse_config_file(args.config) if args.config else default_suite()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in VARIANTS:
-            print(f"unknown variant {v!r}; choose from {', '.join(VARIANTS)}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         report = run_bench(
             configs, variants, args.seed,
@@ -658,12 +656,12 @@ def cmd_validate(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed``: an integer literal (decimal, 0x hex, ...) in [0, 2**64),
-    the range of the uint64 the workload and sweep streams are seeded from."""
+    """A ``--seed``: an integer literal (decimal, 0x hex, ...) ``check_seed`` accepts."""
     seed = int(text, 0)
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text}")
-    return seed
+    try:
+        return check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

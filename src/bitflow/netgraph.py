@@ -230,7 +230,7 @@ def block_shapes(model: Model, input_dims) -> list:
 
 
 def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
-    """Run a model on a real NHWC input.
+    """Run a model on a real NHWC input (bool, integer or real floating).
 
     The input is binarized by sign into a +-1 8-bit map; blocks then run
     sequentially. :func:`block_shapes` checks the whole model against the
@@ -244,6 +244,8 @@ def run_model(model: Model, x: np.ndarray, threads: int = 1) -> I8FeatureMap:
     x = np.asarray(x)
     if x.ndim != 4:
         raise GraphError(f"input must be NHWC, got shape {x.shape}")
+    if x.dtype.kind not in "biuf":  # complex >= 0 would order by real, then imaginary part
+        raise GraphError(f"input must be bool, integer or real floating, got {x.dtype}")
     if not np.isfinite(x).all():
         raise GraphError("input must be finite")
     block_shapes(model, x.shape)

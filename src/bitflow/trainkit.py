@@ -59,6 +59,17 @@ STAGE_CLIPPED = "clipped"
 STAGE_QUANTIZED = "quantized"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_seed(seed):
+    """``seed`` if it is an integer, not a bool, in [0, 2**64) (a uint64), else ValueError."""
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 # -- surrogate ops -----------------------------------------------------------
 
 
@@ -152,8 +163,6 @@ class ToyTask:
     n_train: int
     widths: tuple
     batch_size: int
-    epochs_stage1: int
-    epochs_stage2: int
 
     @property
     def train_images(self):
@@ -212,13 +221,10 @@ def make_toy_task(
     widths: tuple | None = None,
     noise: float = 1.2,
     batch_size: int = 100,
-    epochs_stage1: int = 30,
-    epochs_stage2: int = 10,
 ) -> ToyTask:
-    """Build the deterministic toy classification task from one seed, an
-    integer in [0, 2**64) (the uint64 the task's stream is seeded from)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    """Build the deterministic toy classification task from one seed
+    (:func:`check_seed`)."""
+    check_seed(seed)
     if variant not in ("vgg", "resnet"):
         raise ValueError(f"unknown variant {variant!r}")
     if min(n_train, n_val, batch_size) < 1 or not 0.0 <= noise < math.inf:
@@ -227,6 +233,8 @@ def make_toy_task(
         widths = (64, 64, 32) if variant == "vgg" else (8, 8, 8)
     if variant == "resnet" and set(widths) != {8}:  # identity shortcuts keep the 8 channels
         raise ValueError(f"resnet widths must all be the input's 8 channels, got {widths}")
+    if variant == "vgg" and (len(widths) != 3 or not all(_is_int(c) and c >= 1 for c in widths)):
+        raise ValueError(f"vgg widths must be three positive integers, got {widths}")
     rng = np.random.default_rng(np.uint64(seed))
     templates = class_templates(rng)
     n = n_train + n_val
@@ -241,8 +249,6 @@ def make_toy_task(
         n_train=n_train,
         widths=tuple(widths),
         batch_size=batch_size,
-        epochs_stage1=epochs_stage1,
-        epochs_stage2=epochs_stage2,
     )
 
 
@@ -282,14 +288,7 @@ class BNLayer:
 class ConvBlock:
     weight: np.ndarray  # (out, fh, fw, in) full-precision master
     bn: BNLayer | None
-    stride: tuple = (1, 1)
-    pad: tuple | None = None  # None means shape-preserving
-
-    @property
-    def spec(self) -> ConvSpec:
-        fh, fw = self.weight.shape[1], self.weight.shape[2]
-        pad = ((fh - 1) // 2, (fw - 1) // 2) if self.pad is None else self.pad
-        return ConvSpec(stride=self.stride, spatial_pad=pad)
+    spec: ConvSpec
 
 
 @dataclass
@@ -347,21 +346,22 @@ def init_state(task: ToyTask) -> TrainState:
     rng = np.random.default_rng(np.uint64(task.seed) ^ np.uint64(0x5EED0F57A7E))
     blocks = []
     cin = task.images.shape[3]
+    same = ConvSpec(spatial_pad=(1, 1))  # pad (f - 1) // 2 keeps a 3x3 conv's shape
     if task.variant == "vgg":
         c0, c1, c2 = task.widths
         w = _ACC_WINDOW
         geometry = [
-            (c0, 3, (1, 1), None, True, 0.0),
-            (c1, w, (w, w), (0, 0), True, _BETA_SPREAD),
-            (c2, 3, (1, 1), None, False, 0.0),
+            (c0, 3, same, True, 0.0),
+            (c1, w, ConvSpec(stride=(w, w)), True, _BETA_SPREAD),
+            (c2, 3, same, False, 0.0),
         ]
     else:
-        geometry = [(cin, 3, (1, 1), None, True, 0.0) for _ in task.widths]
+        geometry = [(cin, 3, same, True, 0.0) for _ in task.widths]
     gamma_init = 24.0 if task.variant == "resnet" else 1.0
-    for cout, fsz, stride, pad, with_bn, spread in geometry:
+    for cout, fsz, spec, with_bn, spread in geometry:
         w = rng.uniform(-0.5, 0.5, size=(cout, fsz, fsz, cin)).astype(np.float32)
         bn = _fresh_bn(cout, spread, gamma_init) if with_bn else None
-        blocks.append(ConvBlock(weight=w, bn=bn, stride=stride, pad=pad))
+        blocks.append(ConvBlock(weight=w, bn=bn, spec=spec))
         cin = cout
     head_w = (rng.standard_normal((cin, 10)) / math.sqrt(cin)).astype(np.float32)
     head_b = np.zeros(10, dtype=np.float32)
@@ -577,10 +577,6 @@ def _apply_grads(state: TrainState, grads, lr):
             np.clip(param, -1.0, 1.0, out=param)
 
 
-def _cosine_lr(lr0, e, total):
-    return 0.5 * lr0 * (1.0 + math.cos(math.pi * e / max(total, 1)))
-
-
 class _StepBuffers:
     """The full-size buffers of one training step, handed to the next.
 
@@ -636,11 +632,13 @@ def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> T
     Shuffling is seeded by (task seed, starting epoch), so a resumed run
     replays the same batch order regardless of stage flags.
     """
+    if not _is_int(epochs) or epochs < 0:
+        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     xs, ys = task.train_images, task.train_labels
     ntr = xs.shape[0]
     rng = np.random.default_rng((int(task.seed) * 1000003 + state.epoch) & (2**63 - 1))
     for e in range(epochs):
-        lr = _cosine_lr(lr0, e, epochs)
+        lr = 0.5 * lr0 * (1.0 + math.cos(math.pi * e / epochs))
         perm = rng.permutation(ntr)
         tot_loss, tot_hits = _train_epoch(state, xs, ys, perm, task.batch_size, lr)
         val_loss, val_acc = evaluate(state, task, "val")
@@ -654,13 +652,12 @@ def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> T
     return state
 
 
-def train_stage1(task: ToyTask, epochs: int | None = None) -> TrainState:
+def train_stage1(task: ToyTask, epochs: int = 30) -> TrainState:
     """Warmup training without range constraints."""
-    epochs = task.epochs_stage1 if epochs is None else epochs
     return train_epochs(init_state(task), task, epochs, _LR_STAGE1)
 
 
-def train_stage2(state: TrainState, task: ToyTask, epochs: int | None = None) -> TrainState:
+def train_stage2(state: TrainState, task: ToyTask, epochs: int = 10) -> TrainState:
     """Enable the 8-bit clip and retrain; requires a warmup-stage state.
 
     With ``epochs=0`` the clip is switched on without any retraining,
@@ -670,7 +667,6 @@ def train_stage2(state: TrainState, task: ToyTask, epochs: int | None = None) ->
         raise ValueError(f"stage-2 training requires a warmup state, got {state.stage!r}")
     out = state.clone()
     out.stage = STAGE_CLIPPED
-    epochs = task.epochs_stage2 if epochs is None else epochs
     return train_epochs(out, task, epochs, _LR_STAGE2)
 
 

@@ -59,9 +59,8 @@ def vgg_runs():
 
 @pytest.fixture(scope="module")
 def resnet_runs():
-    task = tk.make_toy_task(seed=SEED, variant="resnet", noise=0.5,
-                            epochs_stage1=15, epochs_stage2=5)
-    s2 = tk.train_stage2(tk.train_stage1(task), task)
+    task = tk.make_toy_task(seed=SEED, variant="resnet", noise=0.5)
+    s2 = tk.train_stage2(tk.train_stage1(task, epochs=15), task, epochs=5)
     quantized, tables = tk.bn_quantize_retrain(s2, task, epochs_per_layer=2)
     return {"task": task, "s2": s2, "quantized": quantized, "tables": tables}
 

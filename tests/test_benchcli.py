@@ -67,6 +67,15 @@ class TestConfigs:
         # the bound itself is accepted; no config, so nothing runs
         assert run_bench([], ["i8-fused"], seed=1, **{name: good}).rows == []
 
+    def test_unknown_variant_is_rejected_before_any_workload_is_built(self, monkeypatch):
+        def build(cfg, seed):
+            raise AssertionError("workload built")
+
+        monkeypatch.setattr(benchcli, "_build_workload", build)
+        why = "unknown variant 'bogus'; choose from i8-fused, i32-staged, float-reference"
+        with pytest.raises(ValueError, match=why):
+            run_bench([tiny_config()], ["bogus"], seed=1)
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             tiny_config(c_in=0)
@@ -320,7 +329,7 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main([command, "--seed", seed])
         assert err.value.code == 2
-        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -344,8 +353,10 @@ class TestCli:
         "argv,why",
         [(["--variants", ","], "variants must be one or more distinct names"),
          (["--variants", "i8-fused,i8-fused"], "variants must be one or more distinct names"),
-         (["--config", os.devnull], "no config stanza")],
-        ids=["no-variant", "repeated-variant", "no-stanza"],
+         (["--config", os.devnull], "no config stanza"),
+         (["--variants", "i8-fused,bogus"],
+          "unknown variant 'bogus'; choose from i8-fused, i32-staged, float-reference")],
+        ids=["no-variant", "repeated-variant", "no-stanza", "unknown-variant"],
     )
     def test_bench_without_distinct_work_is_a_usage_error(self, monkeypatch, capsys, argv, why):
         built = []
@@ -530,9 +541,9 @@ class TestCli:
     def test_convert_cli(self, tmp_path, capsys):
         task = trainkit.make_toy_task(
             seed=3, n_train=100, n_val=40, widths=(16, 16, 8),
-            batch_size=50, epochs_stage1=1, epochs_stage2=1,
+            batch_size=50,
         )
-        s2 = trainkit.train_stage2(trainkit.train_stage1(task), task)
+        s2 = trainkit.train_stage2(trainkit.train_stage1(task, epochs=1), task, epochs=1)
         fm = trainkit.export_float_model(s2)
         src = tmp_path / "float.bdf"
         dst = tmp_path / "thr.bdf"

@@ -1,5 +1,6 @@
-"""Every name a source module imports is used in that module, and every
-private module-level function or class is used somewhere in the package."""
+"""Every name a source module imports is used in that module, every
+private module-level function or class is used somewhere in the package,
+and no module-level name is defined in two modules."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,40 @@ def test_checker_flags_an_unreferenced_private_def():
         "b": "from . import a\nfrom .a import _used\n_used(a._by_attr)\n",
     }
     assert unreferenced_private_defs(sources) == ["a line 2: _dead", "a line 3: _Gone"]
+
+
+def names_bound_twice(sources: dict) -> list:
+    """Module-level names that more than one of ``sources`` (module name ->
+    source) binds by assignment, ``def`` or ``class``; imports, which read a
+    name from its one owner, and dunder names are left out."""
+    owners = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    owners.setdefault(name, set()).add(module)
+    return sorted(f"{name}: {', '.join(sorted(m))}" for name, m in owners.items() if len(m) > 1)
+
+
+def test_no_module_level_name_is_bound_in_two_modules():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert names_bound_twice(sources) == []
+
+
+def test_checker_flags_a_name_bound_in_two_modules():
+    sources = {
+        "a": "X = 1\ndef f(): pass\nclass C: pass\n_p, q = 1, 2\n__all__ = []\nfrom b import Y\n",
+        "b": "X = 2\nY = 3\ndef _p(): pass\nC: int = 4\nf.attr = 1\n__all__ = []\n",
+        "c": "import a\nq[0] = 1\n",
+    }
+    assert names_bound_twice(sources) == ["C: a, b", "X: a, b", "_p: a, b"]

@@ -290,6 +290,27 @@ class TestRunModel:
         with pytest.raises(GraphError, match="input must be finite"):
             run_model(Model([blk]), x)
 
+    @pytest.mark.parametrize("dtype", [complex, object, str])
+    def test_non_real_input_rejected_before_the_shape_check(self, monkeypatch, dtype):
+        # -1j >= 0 is False, so a complex zero would binarize to -1
+        blk = VggBlock(pack_weights(np.ones((2, 1, 1, 2))), ConvSpec(), None)
+        x = np.full((1, 3, 3, 2), -1j if dtype is complex else 1, dtype=dtype)
+
+        def no_shape_check(*args):
+            raise AssertionError("block_shapes ran")
+
+        monkeypatch.setattr(ng, "block_shapes", no_shape_check)
+        with pytest.raises(GraphError, match="bool, integer or real floating"):
+            run_model(Model([blk]), x)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    def test_bool_and_integer_inputs_run(self, dtype):
+        rng = np.random.default_rng(10)
+        blk = VggBlock(pack_weights(rng.standard_normal((3, 3, 3, 2))), ConvSpec(), None)
+        x = rng.integers(-1, 2, size=(1, 5, 5, 2)).astype(dtype)
+        want = run_model(Model([blk]), x.astype(np.float64)).values
+        assert np.array_equal(run_model(Model([blk]), x).values, want)
+
     def test_single_block_equals_direct_call(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 3, 3, 4))

@@ -32,8 +32,6 @@ def small_vgg_task(seed=11, **kw):
         n_val=120,
         widths=(32, 32, 24),
         batch_size=50,
-        epochs_stage1=3,
-        epochs_stage2=2,
     )
     args.update(kw)
     return make_toy_task(**args)
@@ -47,8 +45,6 @@ def small_resnet_task(seed=13, **kw):
         n_val=120,
         noise=0.5,
         batch_size=50,
-        epochs_stage1=3,
-        epochs_stage2=2,
     )
     args.update(kw)
     return make_toy_task(**args)
@@ -218,12 +214,20 @@ class TestToyTask:
             ("seed", -1),  # the task's stream takes a uint64 seed
             ("seed", 2**64),
             ("seed", 1.5),  # not truncated to seed 1
+            ("seed", True),  # not stored as seed 1
+            ("vgg_widths", (64, 64)),  # the vgg stack has three blocks
+            ("vgg_widths", (8, 8, -1)),
+            ("vgg_widths", (0, 64, 32)),
         ],
     )
     def test_degenerate_sizes_are_rejected(self, name, value):
         if name == "seed":
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 make_toy_task(seed=value)
+            return
+        if name == "vgg_widths":
+            with pytest.raises(ValueError, match="vgg widths must be three positive integers"):
+                make_toy_task(widths=value)
             return
         if name == "widths":
             with pytest.raises(ValueError, match="resnet widths"):
@@ -240,6 +244,21 @@ class TestTraining:
         assert s.epoch == 0 and s.history == []
         assert s.stage == tk.STAGE_WARMUP
 
+    @pytest.mark.parametrize("epochs", [-1, 2.5, True])
+    def test_bad_epoch_counts_are_rejected(self, epochs):
+        # -1 used to train nothing, 2.5 to end in a raw TypeError from range
+        task = small_vgg_task()
+        s2 = train_stage2(train_stage1(task, epochs=0), task, epochs=0)
+        runs = [
+            lambda: train_stage1(task, epochs=epochs),
+            lambda: train_stage2(train_stage1(task, epochs=0), task, epochs=epochs),
+            lambda: tk.train_epochs(tk.init_state(task), task, epochs, 0.01),
+            lambda: bn_quantize_retrain(s2, task, epochs_per_layer=epochs),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="epochs must be a non-negative integer"):
+                run()
+
     def test_seeded_runs_identical(self):
         task = small_vgg_task()
         a = train_stage1(task, epochs=2)
@@ -249,8 +268,8 @@ class TestTraining:
             assert np.array_equal(ba.weight, bb.weight)
 
     def test_loss_decreases(self):
-        task = small_vgg_task(n_train=400, noise=0.6, epochs_stage1=8)
-        s = train_stage1(task)
+        task = small_vgg_task(n_train=400, noise=0.6)
+        s = train_stage1(task, epochs=8)
         losses = [r[2] for r in s.history if r[1] == "train"]
         assert np.mean(losses[-2:]) < np.mean(losses[:2])
 
@@ -344,8 +363,8 @@ class TestQuantizeRetrain:
 
 class TestExportParity:
     def test_vgg_export_parity(self):
-        task = small_vgg_task(epochs_stage1=4)
-        s2 = train_stage2(train_stage1(task), task)
+        task = small_vgg_task()
+        s2 = train_stage2(train_stage1(task, epochs=4), task, epochs=2)
         model = tk.export_vgg_model(s2)
         out = ng.run_model(model, task.val_images)
         net_preds = head_logits(s2, out.values).argmax(axis=1)
@@ -358,8 +377,8 @@ class TestExportParity:
             tk.export_vgg_model(s1)
 
     def test_resnet_export_parity(self):
-        task = small_resnet_task(epochs_stage1=4)
-        s2 = train_stage2(train_stage1(task), task)
+        task = small_resnet_task()
+        s2 = train_stage2(train_stage1(task, epochs=4), task, epochs=2)
         sq, _ = bn_quantize_retrain(s2, task, epochs_per_layer=1)
         model = tk.export_resnet_model(sq)
         out = ng.run_model(model, task.val_images)
