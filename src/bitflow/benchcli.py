@@ -38,7 +38,7 @@ from . import binconv, bitcore, bnquant, netgraph
 from .binconv import (
     ConvSpec, check_threads, conv_float_oracle, conv_fused, conv_i8, conv_i32, staged_conv_i8,
 )
-from .bitcore import I8_MAX, I8FeatureMap, pack_weights, pm1
+from .bitcore import I8_MAX, I8FeatureMap, check_int, pack_weights, pm1
 from .trainkit import DEFAULT_SEED, check_seed
 
 VARIANTS = ("i8-fused", "i32-staged", "float-reference")
@@ -60,8 +60,9 @@ _MAX_MODEL_INPUT = 1 << 24
 
 @dataclass
 class BenchConfig:
-    """One benchmarked layer shape, at batch 1. A shape whose padded input,
-    kernel, output or ``float-reference`` im2col rows hold more than
+    """One benchmarked layer shape, at batch 1, of positive integer sizes and
+    the geometry ``ConvSpec`` and ``output_shape`` accept. A shape whose padded
+    input, kernel, output or ``float-reference`` im2col rows hold more than
     ``_MAX_MODEL_INPUT`` elements is rejected before anything is built."""
 
     name: str
@@ -72,26 +73,24 @@ class BenchConfig:
     filter: int = 3
     stride: int = 1
     pad: int = 1
+    spec: ConvSpec = field(init=False)
 
     def __post_init__(self):
-        if min(self.height, self.width, self.c_in, self.c_out, self.filter) <= 0:
-            raise ValueError(f"{self.name}: non-positive shape field")
-        if self.stride < 1 or self.pad < 0:
-            raise ValueError(f"{self.name}: bad stride/pad")
-        hp, wp = self.height + 2 * self.pad, self.width + 2 * self.pad
-        oh, ow = ((side - self.filter) // self.stride + 1 for side in (hp, wp))
-        if min(oh, ow) <= 0:
-            raise ValueError(f"{self.name}: filter {self.filter} exceeds the padded input")
+        try:
+            for size in ("height", "width", "c_in", "c_out", "filter"):
+                setattr(self, size, check_int(getattr(self, size), size, 1))
+            self.spec = ConvSpec((self.stride, self.stride), (self.pad, self.pad))
+            x_dims, f = (1, self.height, self.width, self.c_in), self.filter
+            _, oh, ow, _ = binconv.output_shape(x_dims, (self.c_out, f, f, self.c_in), self.spec)
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
         taps = self.filter * self.filter * self.c_in
+        hp, wp = (side + 2 * self.spec.spatial_pad[0] for side in (self.height, self.width))
         sizes = {"padded input": hp * wp * self.c_in, "kernel": self.c_out * taps,
                  "output": oh * ow * self.c_out, "im2col rows": oh * ow * taps}
         for what, size in sizes.items():
             if size > _MAX_MODEL_INPUT:
                 raise ValueError(f"{self.name}: {what} of {size} elements, over {_MAX_MODEL_INPUT}")
-
-    @property
-    def spec(self) -> ConvSpec:
-        return ConvSpec((self.stride, self.stride), (self.pad, self.pad))
 
 
 @dataclass
@@ -300,16 +299,14 @@ def run_bench(
     up, and each repeat times every variant once in turn, so a burst of
     host load spreads over all of them. The process's minor page faults are
     read just outside each timed call, and each row gives their mean per
-    call. The loaded OpenBLAS runs at
-    ``threads`` threads meanwhile, and the report records that count.
-    Out-of-range counts and unknown or repeated variant names raise
-    ``ValueError`` before any workload is built.
+    call. The loaded OpenBLAS runs at ``threads`` threads meanwhile, and the
+    report records that count. A seed or count that ``check_int`` rejects, or
+    an unknown or repeated variant name, raises ``ValueError`` before any
+    workload is built.
     """
-    if not 5 <= repeats <= _MAX_REPEATS:
-        raise ValueError(f"repeats must be in [5, {_MAX_REPEATS}], got {repeats}")
-    if not 0 <= warmup <= _MAX_REPEATS:
-        raise ValueError(f"warmup must be in [0, {_MAX_REPEATS}], got {warmup}")
-    check_threads(threads)
+    seed, threads = check_seed(seed), check_threads(threads)
+    repeats = check_int(repeats, "repeats", 5, _MAX_REPEATS)
+    warmup = check_int(warmup, "warmup", 0, _MAX_REPEATS)
     if not variants or len(set(variants)) < len(variants):
         raise ValueError(f"variants must be one or more distinct names, got {list(variants)}")
     for v in variants:
@@ -391,10 +388,8 @@ def conv_sweep(rng, n_configs: int, max_c: int = 256) -> SweepResult:
         w = int(rng.integers(fw, _CONV_MAX_HW + 1))
         cin = int(rng.integers(1, max_c + 1))
         out = int(rng.integers(1, 7))
-        spec = ConvSpec(
-            (int(rng.integers(1, 3)), int(rng.integers(1, 3))),
-            (int(rng.integers(0, 2)), int(rng.integers(0, 2))),
-        )
+        spec = ConvSpec((rng.integers(1, 3), rng.integers(1, 3)),
+                        (rng.integers(0, 2), rng.integers(0, 2)))
         a = rng.choice([-1, 1], size=(1, h, w, cin)).astype(np.int8)
         wt = rng.choice([-1, 1], size=(out, fh, fw, cin)).astype(np.int8)
         x = bitcore.pack_activations(a)
@@ -420,9 +415,7 @@ def fusion_sweep(rng, n_configs: int) -> SweepResult:
         w = int(rng.integers(4, 14))
         cin = int(rng.integers(1, 97))
         out = int(rng.integers(1, 7))
-        spec = ConvSpec(
-            (int(rng.integers(1, 3)), 1), (int(rng.integers(0, 2)), 1)
-        )
+        spec = ConvSpec((rng.integers(1, 3), 1), (rng.integers(0, 2), 1))
         vals = rng.integers(-I8_MAX, I8_MAX + 1, size=(1, h, w, cin)).astype(np.int8)
         x = I8FeatureMap(vals)
         k = bitcore.pack_weights(rng.choice([-1.0, 1.0], size=(out, 3, 3, cin)))
@@ -450,12 +443,8 @@ def threshold_sweep(rng, n_sets: int) -> SweepResult:
         gamma = rng.uniform(-10, 10, n)
         gamma[gamma == 0] = 1.0
         positive += int((gamma > 0).sum())
-        p = bnquant.BNParams(
-            gamma,
-            rng.uniform(-20, 20, n),
-            rng.uniform(-20, 20, n),
-            rng.uniform(0.01, 10, n),
-        )
+        p = bnquant.BNParams(gamma, rng.uniform(-20, 20, n), rng.uniform(-20, 20, n),
+                             rng.uniform(0.01, 10, n))
         t = bnquant.compute_threshold(p)
         x = I8FeatureMap(np.tile(grid[None, :, None], (1, 1, n)).reshape(1, grid.size, 1, n))
         got = bitcore.unpack_bits(bnquant.apply_threshold(x, t))
@@ -683,9 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser("convert", help="float batch norm to deployment tables")
     convert.add_argument("--in", dest="model_in", required=True)
     convert.add_argument("--out", dest="model_out", required=True)
-    convert.add_argument(
-        "--mode", required=True, choices=("vgg-threshold", "resnet-qbn")
-    )
+    convert.add_argument("--mode", required=True, choices=("vgg-threshold", "resnet-qbn"))
     convert.set_defaults(func=cmd_convert)
 
     validate = sub.add_parser("validate", help="oracle equivalence sweeps")

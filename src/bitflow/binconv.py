@@ -60,6 +60,7 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     PackedKernelSet,
+    check_int,
     clip_free,
     pack_activations,
     pack_bitplanes,
@@ -85,12 +86,9 @@ class ConvSpec:
     spatial_pad: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        sh, sw = self.stride
-        ph, pw = self.spatial_pad
-        if sh < 1 or sw < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if ph < 0 or pw < 0:
-            raise ValueError(f"padding must be non-negative, got {self.spatial_pad}")
+        for name, lo in (("stride", 1), ("spatial_pad", 0)):  # kept as a tuple of ints
+            h, w = getattr(self, name)
+            object.__setattr__(self, name, (check_int(h, name, lo), check_int(w, name, lo)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,10 +238,9 @@ def _tile_matches(buf, k, sh, sw, oh, ow, group) -> np.ndarray:
     return acc.reshape(n, oh, ow, out)
 
 
-def check_threads(threads) -> None:
-    """Raise ``ValueError`` unless ``threads`` is an integer in [1, MAX_THREADS]."""
-    if not isinstance(threads, (int, np.integer)) or not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be in [1, {MAX_THREADS}] as an integer, got {threads!r}")
+def check_threads(threads) -> int:
+    """``threads`` as an int if it is an integer in [1, MAX_THREADS], else ``ValueError``."""
+    return check_int(threads, "threads", 1, MAX_THREADS)
 
 
 def _run_row_spans(oh: int, span_rows: int, threads: int, work) -> None:
@@ -266,7 +263,7 @@ def conv_i32(
     Every output element is the +-1 dot product over the receptive field,
     recovered from match counts as 2*matches - _match_bias(...).
     """
-    check_threads(threads)
+    threads = check_threads(threads)
     n, oh, ow, out = output_shape(x.dims, k.dims, spec)
     _, fh, fw, cin = k.dims
     sh, sw = spec.stride
@@ -368,7 +365,7 @@ def tile_plan(
     unless one tile covers every output row on one worker; then it is the
     most taps that fit the budget left, up to fh*fw.
     """
-    check_threads(threads)
+    threads = check_threads(threads)
     n, oh, ow, out = output_shape(x_dims, k.dims, spec)
     _, fh, fw, _ = k.dims
     sh = spec.stride[0]

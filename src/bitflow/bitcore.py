@@ -19,6 +19,7 @@ packed tensors are bit-exact across platforms. Population counts live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ TILE_BYTE_BUDGET = 1 << 20
 
 # Refuse shapes whose element count could overflow intermediate buffers.
 _MAX_ELEMENTS = 1 << 40
+
+_ACTIVATION_DIMS = ("batch", "height", "width", "channels")
+_KERNEL_DIMS = ("out_channels", "filter_h", "filter_w", "in_channels")
 
 
 def words_per_pixel(channels: int) -> int:
@@ -49,16 +53,36 @@ def budget_slices(rows: int, row_bytes: int) -> list[slice]:
     return [slice(r, min(r + step, rows)) for r in range(0, max(rows, 1), step)]
 
 
-def _check_dims(dims, names) -> None:
+def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int, so no numpy width reaches the caller's
+    arithmetic, if it is a Python or numpy integer (never a bool) in [lo, hi],
+    with no upper bound when ``hi`` is None; else ``ValueError`` naming ``name``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < lo or (hi is not None and value > hi)):
+        span = f"[{lo}, inf)" if hi is None else f"[{lo}, {hi}]"
+        raise ValueError(f"{name} must be in {span} as an integer, got {value!r}")
+    return int(value)
+
+
+def _check_dims(dims, names, lo: int = 1) -> tuple:
+    """``dims`` as a tuple of Python ints, one per name, each at least ``lo``."""
     if len(dims) != len(names):
         raise ValueError(f"expected {len(names)} dims {names}, got {dims}")
-    total = 1
-    for name, d in zip(names, dims):
-        if int(d) <= 0:
-            raise ValueError(f"dimension {name}={d} must be positive")
-        total *= int(d)
-    if total > _MAX_ELEMENTS:
-        raise ValueError(f"tensor of {total} elements exceeds addressable size")
+    dims = tuple(check_int(d, name, lo) for name, d in zip(names, dims))
+    if math.prod(dims) > _MAX_ELEMENTS:
+        raise ValueError(f"tensor of {math.prod(dims)} elements exceeds addressable size")
+    return dims
+
+
+def _check_packed(t, names, lo: int) -> None:
+    """Keep ``t.dims`` as Python ints, each at least ``lo``, and require
+    uint64 ``t.words`` of shape (*dims[:3], words_per_pixel(dims[3]))."""
+    dims = _check_dims(t.dims, names, lo)
+    object.__setattr__(t, "dims", dims)
+    want = (*dims[:3], words_per_pixel(dims[3]))
+    if t.words.dtype != np.uint64 or t.words.shape != want:
+        raise ValueError(f"words are {t.words.dtype} of shape {t.words.shape}; "
+                         f"dims {dims} need {want} of uint64")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +90,15 @@ class BitPlaneTensor:
     """NHWC activations packed one bit per value along channels.
 
     ``words`` has shape (batch, height, width, words_per_pixel), dtype
-    uint64.
+    uint64; its channel-pad bits are zero, which :func:`pack_bitplanes`
+    guarantees and nothing rescans.
     """
 
     dims: tuple[int, int, int, int]
     words: np.ndarray
 
     def __post_init__(self):
+        _check_packed(self, _ACTIVATION_DIMS, 0)  # an empty batch packs to an empty tensor
         self.words.setflags(write=False)
 
     @property
@@ -98,11 +124,7 @@ class PackedKernelSet:
     words: np.ndarray
 
     def __post_init__(self):
-        out, fh, fw, cin = self.dims
-        want = (out, fh, fw, words_per_pixel(cin))
-        if self.words.shape != want:
-            raise ValueError(f"kernel words have shape {self.words.shape}, "
-                             f"dims {self.dims} need {want}")
+        _check_packed(self, _KERNEL_DIMS, 1)
         _check_pad_bits(self.words, self.in_channels)
         self.words.setflags(write=False)
 
@@ -215,7 +237,7 @@ def pack_activations(x: np.ndarray) -> BitPlaneTensor:
     (-1); zero maps to +1.
     """
     x = np.asarray(x)
-    _check_dims(x.shape, ("batch", "height", "width", "channels"))
+    _check_dims(x.shape, _ACTIVATION_DIMS)
     if not np.isfinite(x).all():
         raise ValueError("activations must be finite")
     return BitPlaneTensor(tuple(x.shape), pack_bitplanes(x >= 0))
@@ -224,7 +246,7 @@ def pack_activations(x: np.ndarray) -> BitPlaneTensor:
 def pack_weights(w: np.ndarray) -> PackedKernelSet:
     """Binarize a real (out, fh, fw, in) weight tensor by sign and bit-pack it."""
     w = np.asarray(w)
-    _check_dims(w.shape, ("out_channels", "filter_h", "filter_w", "in_channels"))
+    _check_dims(w.shape, _KERNEL_DIMS)
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     return PackedKernelSet(tuple(w.shape), pack_bitplanes(w >= 0))

@@ -31,6 +31,7 @@ from .bitcore import (
     BitPlaneTensor,
     I8FeatureMap,
     budget_slices,
+    check_int,
     pack_bitplanes,
     saturate_into,
     words_per_pixel,
@@ -128,8 +129,7 @@ class QFormat:
     range_bits: int
 
     def __post_init__(self):
-        if not 0 <= self.range_bits <= 15:
-            raise ValueError(f"range_bits must be in [0, 15], got {self.range_bits}")
+        object.__setattr__(self, "range_bits", check_int(self.range_bits, "range_bits", 0, 15))
 
     @property
     def frac_bits(self) -> int:

@@ -29,11 +29,12 @@ everything before it closes the file. Per tag (``_LAYOUT``):
 
 The CRC is checked before any parsing, so every single-byte corruption is
 rejected. Each structural rule has one owner, so models built in memory
-and models read from a file meet the same rules: ``PackedKernelSet`` (zero
-channel-pad bits, as the match count assumes), the blocks (one table value
-per output channel; padding below, stride at most the filter size),
-``Model`` (non-empty, known block types) and, for one input,
-``block_shapes``, which ``run_model`` and ``bitflow validate`` both call.
+and models read from a file meet the same rules: ``PackedKernelSet``
+(positive integer dims, zero channel-pad bits), ``ConvSpec`` (integer
+stride and padding), the blocks (one table value per output channel;
+padding below, stride at most the filter size), ``Model`` (non-empty, known
+block types) and, for one input, ``block_shapes``, which ``run_model`` and
+``bitflow validate`` both call.
 """
 
 from __future__ import annotations
@@ -411,8 +412,6 @@ def _read_block(cur: _Cursor):
         raise ValueError(f"unknown layer tag {tag}")
     cls = _BY_TAG[tag]
     spec = ConvSpec((sh, sw), (ph, pw))
-    if min(out, fh, fw, cin) <= 0:
-        raise ValueError(f"bad kernel dims {(out, fh, fw, cin)}")
     wps = words_per_pixel(cin)
     words = (
         np.frombuffer(cur.take(out * fh * fw * wps * 8), dtype="<u8")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binconv import ConvSpec, gemm_rows, im2col, output_shape
-from .bitcore import I8_MAX, clip_free, pack_weights
+from .bitcore import I8_MAX, check_int, clip_free, pack_weights
 from .bnquant import BNParams, QBNParams, quantize_bn
 from .netgraph import FloatBlock, Model, ResnetBlock, convert_model, run_float_reference
 
@@ -59,15 +59,9 @@ STAGE_CLIPPED = "clipped"
 STAGE_QUANTIZED = "quantized"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_seed(seed):
     """``seed`` if it is an integer, not a bool, in [0, 2**64) (a uint64), else ValueError."""
-    if not _is_int(seed) or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return seed
+    return check_int(seed, "seed", 0, (1 << 64) - 1)
 
 
 # -- surrogate ops -----------------------------------------------------------
@@ -224,16 +218,19 @@ def make_toy_task(
 ) -> ToyTask:
     """Build the deterministic toy classification task from one seed
     (:func:`check_seed`)."""
-    check_seed(seed)
+    seed = check_seed(seed)
     if variant not in ("vgg", "resnet"):
         raise ValueError(f"unknown variant {variant!r}")
-    if min(n_train, n_val, batch_size) < 1 or not 0.0 <= noise < math.inf:
-        raise ValueError("n_train, n_val, batch_size must be >= 1 and noise finite, >= 0")
+    n_train, n_val = check_int(n_train, "n_train", 1), check_int(n_val, "n_val", 1)
+    batch_size = check_int(batch_size, "batch_size", 1)
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     if widths is None:
         widths = (64, 64, 32) if variant == "vgg" else (8, 8, 8)
+    widths = tuple(check_int(c, f"{variant} widths", 1) for c in widths)
     if variant == "resnet" and set(widths) != {8}:  # identity shortcuts keep the 8 channels
         raise ValueError(f"resnet widths must all be the input's 8 channels, got {widths}")
-    if variant == "vgg" and (len(widths) != 3 or not all(_is_int(c) and c >= 1 for c in widths)):
+    if variant == "vgg" and len(widths) != 3:
         raise ValueError(f"vgg widths must be three positive integers, got {widths}")
     rng = np.random.default_rng(np.uint64(seed))
     templates = class_templates(rng)
@@ -247,7 +244,7 @@ def make_toy_task(
         images=images.astype(np.float32),
         labels=labels.astype(np.int64),
         n_train=n_train,
-        widths=tuple(widths),
+        widths=widths,
         batch_size=batch_size,
     )
 
@@ -632,8 +629,7 @@ def train_epochs(state: TrainState, task: ToyTask, epochs: int, lr0: float) -> T
     Shuffling is seeded by (task seed, starting epoch), so a resumed run
     replays the same batch order regardless of stage flags.
     """
-    if not _is_int(epochs) or epochs < 0:
-        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
+    epochs = check_int(epochs, "epochs", 0)
     xs, ys = task.train_images, task.train_labels
     ntr = xs.shape[0]
     rng = np.random.default_rng((int(task.seed) * 1000003 + state.epoch) & (2**63 - 1))
@@ -697,8 +693,7 @@ def bn_quantize_retrain(
         blk.bn.frozen_sigma = noisy.sigma.astype(np.float32)
         blk.bn.qbn = qbn
         exported.append(qbn)
-        if epochs_per_layer:
-            train_epochs(out, task, epochs_per_layer, _LR_STAGE2 * 0.5)
+        train_epochs(out, task, epochs_per_layer, _LR_STAGE2 * 0.5)
     out.stage = STAGE_QUANTIZED
     return out, exported
 

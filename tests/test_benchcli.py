@@ -293,8 +293,8 @@ class TestCli:
             ("id=a\nh=64\nw=64\ncin=1\ncout=4097\nfilter=1\npad=0\n",
              "a: output of 16781312 elements"),
             ("id=a\nh=512\nw=512\ncin=8\ncout=1\n", "a: im2col rows of 18874368 elements"),
-            ("id=a\nh=1000000\nw=1000000\ncin=512\ncout=512\n", "a: padded input of"),
-            ("id=a\nh=4\nw=4\ncin=1\ncout=1\nfilter=7\n", "a: filter 7 exceeds the padded input"),
+            ("id=a\nh=1000000\nw=1000000\ncin=512\ncout=512\n", "a: output 1x1000000x1000000x512"),
+            ("id=a\nh=4\nw=4\ncin=1\ncout=1\nfilter=7\n", "a: non-positive output dims 0x0"),
         ],
         ids=["no-h", "strid", "repeats", "repeated-key", "repeated-id", "repeated-default-id",
              "padded-input", "kernel", "output", "im2col-rows", "huge", "filter"],
@@ -329,7 +329,7 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main([command, "--seed", seed])
         assert err.value.code == 2
-        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert "seed must be in [0, 18446744073709551615]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",

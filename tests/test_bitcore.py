@@ -201,6 +201,17 @@ class TestPacking:
         with pytest.raises(ValueError):
             bitcore._check_dims((1 << 20, 1 << 20, 2, 2), ("a", "b", "c", "d"))
 
+    def test_activation_words_must_fit_the_dims(self):
+        # the words of a 5x5 map under 4x4 dims would convolve, unnoticed, to a 4x4 output
+        words = pack_activations(np.ones((1, 5, 5, 8))).words
+        with pytest.raises(ValueError, match=r"need \(1, 4, 4, 1\) of uint64"):
+            BitPlaneTensor((1, 4, 4, 8), words)
+        with pytest.raises(ValueError, match="words are int64"):
+            BitPlaneTensor((1, 5, 5, 8), words.astype(np.int64))
+        t = BitPlaneTensor((np.int64(1), np.uint8(5), 5, 8), words)
+        assert t.dims == (1, 5, 5, 8) and all(type(d) is int for d in t.dims)
+        assert BitPlaneTensor((0, 5, 5, 8), words[:0]).dims[0] == 0  # an empty batch
+
     def test_non_finite_rejected(self):
         x = np.ones((1, 1, 1, 2))
         x[0, 0, 0, 1] = np.nan
@@ -211,6 +222,25 @@ class TestPacking:
         t = pack_activations(np.ones((1, 1, 1, 4)))
         with pytest.raises(ValueError):
             t.words[0, 0, 0, 0] = 0
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [0, 5, np.int64(3), np.uint8(3), np.int8(5), 1 << 70])
+    def test_integers_in_range_come_back_as_python_ints(self, value):
+        hi = None if value == 1 << 70 else 5
+        got = bitcore.check_int(value, "n", 0, hi)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, np.False_, 3.0, np.float64(3), "3", None, -1, 6]
+    )
+    def test_anything_else_names_the_argument(self, value):
+        with pytest.raises(ValueError, match=r"^n must be in \[0, 5\] as an integer, got "):
+            bitcore.check_int(value, "n", 0, 5)
+
+    def test_no_upper_bound_when_hi_is_none(self):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, inf\) as an integer, got 0$"):
+            bitcore.check_int(0, "n", 1)
 
 
 class TestPopcount:

@@ -1,6 +1,7 @@
 """Every name a source module imports is used in that module, every
 private module-level function or class is used somewhere in the package,
-and no module-level name is defined in two modules."""
+no module-level name is defined in two modules, and only
+``bitcore.check_int`` asks whether a value is an integer."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,47 @@ def test_checker_flags_a_name_bound_in_two_modules():
         "c": "import a\nq[0] = 1\n",
     }
     assert names_bound_twice(sources) == ["C: a, b", "X: a, b", "_p: a, b"]
+
+
+def _is_int_predicate(node) -> bool:
+    """Whether ``node`` calls ``isinstance`` with a type argument naming
+    ``int`` or ``np.integer``."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any((isinstance(n, ast.Name) and n.id == "int")
+                or (isinstance(n, ast.Attribute) and n.attr == "integer")
+                for n in ast.walk(node.args[1]))
+    )
+
+
+def int_predicates(sources: dict) -> list:
+    """Each ``isinstance`` call of ``sources`` (module name -> source) whose
+    type argument names ``int`` or ``np.integer``, as the dotted name of the
+    function or class around it (the module's name at module level)."""
+    found = []
+    for module, source in sources.items():
+        stack = [(ast.parse(source), module)]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}"
+            if _is_int_predicate(node):
+                found.append(owner)
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_only_check_int_asks_whether_a_value_is_an_integer():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert int_predicates(sources) == ["bitcore.check_int"]
+
+
+def test_checker_flags_an_int_predicate_outside_its_owner():
+    sources = {
+        "a": "import numpy as np\ndef check(v):\n    return isinstance(v, (int, np.integer))\n"
+        "class C:\n    def m(self, v):\n        return isinstance(v, np.integer)\n",
+        "b": "ok = isinstance(x, int)\n"
+        "def f(v):\n    return isinstance(v, (str, float)) or isinstance(v, bool)\n",
+    }
+    assert int_predicates(sources) == ["a.C.m", "a.check", "b"]

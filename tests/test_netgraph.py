@@ -753,8 +753,8 @@ class TestSerialization:
             ("vgg", lambda b: b[:-1], "truncated"),
             ("vgg", lambda b: b + b"\x00", "trailing bytes"),
             ("vgg", _put("<B", 8, 9), "unknown layer tag 9"),
-            ("vgg", _put("<I", 9, 0), "bad kernel dims"),
-            ("vgg", _put("<I", 21, 0), "bad kernel dims"),
+            ("vgg", _put("<I", 9, 0), r"out_channels must be in \[1, inf\)"),
+            ("vgg", _put("<I", 21, 0), r"in_channels must be in \[1, inf\)"),
             ("vgg", _put("<I", 8 + 17, 2), "stride"),
             ("vgg", lambda b: _put("<H", 6, 0)(b[:8]), "no layers"),
             ("vgg", _put("<B", _TABLES, 2), "bad threshold flag"),

@@ -222,18 +222,18 @@ class TestToyTask:
     )
     def test_degenerate_sizes_are_rejected(self, name, value):
         if name == "seed":
-            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 18446744073709551615\]"):
                 make_toy_task(seed=value)
             return
         if name == "vgg_widths":
-            with pytest.raises(ValueError, match="vgg widths must be three positive integers"):
+            with pytest.raises(ValueError, match="vgg widths must be"):
                 make_toy_task(widths=value)
             return
         if name == "widths":
             with pytest.raises(ValueError, match="resnet widths"):
                 make_toy_task(variant="resnet", widths=value)
             return
-        with pytest.raises(ValueError, match="n_train, n_val, batch_size"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
             make_toy_task(**{name: value})
 
 
@@ -256,7 +256,7 @@ class TestTraining:
             lambda: bn_quantize_retrain(s2, task, epochs_per_layer=epochs),
         ]
         for run in runs:
-            with pytest.raises(ValueError, match="epochs must be a non-negative integer"):
+            with pytest.raises(ValueError, match=r"epochs must be in \[0, inf\) as an integer"):
                 run()
 
     def test_seeded_runs_identical(self):
