@@ -61,6 +61,7 @@ from .bitcore import (
     I8FeatureMap,
     PackedKernelSet,
     check_int,
+    check_map_dims,
     clip_free,
     pack_activations,
     pack_bitplanes,
@@ -87,8 +88,10 @@ class ConvSpec:
 
     def __post_init__(self):
         for name, lo in (("stride", 1), ("spatial_pad", 0)):  # kept as a tuple of ints
-            h, w = getattr(self, name)
-            object.__setattr__(self, name, (check_int(h, name, lo), check_int(w, name, lo)))
+            pair = getattr(self, name)
+            if np.shape(pair) != (2,):
+                raise ValueError(f"{name} must be a pair of integers, got {pair!r}")
+            object.__setattr__(self, name, tuple(check_int(v, name, lo) for v in pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +107,9 @@ class I32FeatureMap:
 
 
 def output_shape(in_dims, k_dims, spec: ConvSpec) -> tuple[int, int, int, int]:
-    """Output dims of a direct convolution; raises on impossible geometry or size."""
+    """Output dims of a direct convolution; raises on an empty input dim, bad geometry or size."""
     n, h, w, cin = in_dims
+    check_map_dims(in_dims)
     out, fh, fw, kin = k_dims
     if cin != kin:
         raise ValueError(f"channel mismatch: input {cin}, kernel {kin}")
@@ -361,9 +365,9 @@ def tile_plan(
     allocates no accumulator: the tile returns its lanes uncopied.
 
     Default rows are the most that fit ``TILE_BYTE_BUDGET``, at most one
-    worker's share; passed rows are clamped to [1, oh]. A group is one tap
-    unless one tile covers every output row on one worker; then it is the
-    most taps that fit the budget left, up to fh*fw.
+    worker's share; passed rows, an integer of at least 1, are clamped to
+    oh. A group is one tap unless one tile covers every output row on one
+    worker; then it is the most taps that fit the budget left, up to fh*fw.
     """
     threads = check_threads(threads)
     n, oh, ow, out = output_shape(x_dims, k.dims, spec)
@@ -375,8 +379,8 @@ def tile_plan(
     acc = 0 if wps == 1 and k.wrap and k.lane == np.uint8 else k.acc.itemsize
     row = n * ow * out * (wps * (word + 1 + k.lane.itemsize) + acc) + sh * in_row
     if tile_rows is None:
-        tile_rows = min((TILE_BYTE_BUDGET - fixed) // row, -(-oh // threads))
-    rows = max(1, min(tile_rows, oh))
+        tile_rows = max(1, min((TILE_BYTE_BUDGET - fixed) // row, -(-oh // threads)))
+    rows = min(check_int(tile_rows, "tile_rows", 1), oh)
     if rows < oh or threads > 1:
         return rows, 1
     tap = n * ow * wps * (out * (word + 1) + word)
@@ -399,8 +403,8 @@ def conv_fused(
     absent the input is binarized by sign. The result is bit-identical to
     the staged pipeline (binarize, pack, pad, conv_i8) for every tile size,
     tap group and worker count; tiles and groups only bound the working set.
-    :func:`tile_plan` rejects ``threads`` outside [1, MAX_THREADS] before
-    any tile runs.
+    :func:`tile_plan` rejects ``threads`` outside [1, MAX_THREADS] and
+    ``tile_rows`` below 1 before any tile runs.
     """
     if thr is not None and thr.channels != x_prev.channels:
         raise ValueError(

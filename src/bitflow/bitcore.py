@@ -47,10 +47,9 @@ def words_per_pixel(channels: int) -> int:
 def budget_slices(rows: int, row_bytes: int) -> list[slice]:
     """Consecutive slices over ``rows`` rows, each of as many rows as
     :data:`TILE_BYTE_BUDGET` holds at ``row_bytes`` of scratch a row (at
-    least one); the last slice takes the remainder, and zero rows make one
-    empty slice."""
+    least one); the last slice takes the remainder."""
     step = max(1, TILE_BYTE_BUDGET // row_bytes)
-    return [slice(r, min(r + step, rows)) for r in range(0, max(rows, 1), step)]
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -64,20 +63,22 @@ def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def _check_dims(dims, names, lo: int = 1) -> tuple:
-    """``dims`` as a tuple of Python ints, one per name, each at least ``lo``."""
-    if len(dims) != len(names):
-        raise ValueError(f"expected {len(names)} dims {names}, got {dims}")
-    dims = tuple(check_int(d, name, lo) for name, d in zip(names, dims))
+def check_map_dims(dims) -> None:
+    """The shape rule of every map and conv input: each NHWC dim is at least 1."""
+    if min(dims) < 1:  # one comparison on the per-call path
+        name, d = next((name, d) for name, d in zip(_ACTIVATION_DIMS, dims) if d < 1)
+        raise ValueError(f"{name} must be at least 1, got {d}")
+
+
+def _check_packed(t, names) -> None:
+    """Keep ``t.dims`` as Python ints, one per name, each at least 1 and at
+    most ``_MAX_ELEMENTS`` in product, and require uint64 ``t.words`` of
+    shape (*dims[:3], words_per_pixel(dims[3]))."""
+    if len(t.dims) != len(names):
+        raise ValueError(f"expected {len(names)} dims {names}, got {t.dims}")
+    dims = tuple(check_int(d, name, 1) for name, d in zip(names, t.dims))
     if math.prod(dims) > _MAX_ELEMENTS:
         raise ValueError(f"tensor of {math.prod(dims)} elements exceeds addressable size")
-    return dims
-
-
-def _check_packed(t, names, lo: int) -> None:
-    """Keep ``t.dims`` as Python ints, each at least ``lo``, and require
-    uint64 ``t.words`` of shape (*dims[:3], words_per_pixel(dims[3]))."""
-    dims = _check_dims(t.dims, names, lo)
     object.__setattr__(t, "dims", dims)
     want = (*dims[:3], words_per_pixel(dims[3]))
     if t.words.dtype != np.uint64 or t.words.shape != want:
@@ -98,7 +99,7 @@ class BitPlaneTensor:
     words: np.ndarray
 
     def __post_init__(self):
-        _check_packed(self, _ACTIVATION_DIMS, 0)  # an empty batch packs to an empty tensor
+        _check_packed(self, _ACTIVATION_DIMS)
         self.words.setflags(write=False)
 
     @property
@@ -124,7 +125,7 @@ class PackedKernelSet:
     words: np.ndarray
 
     def __post_init__(self):
-        _check_packed(self, _KERNEL_DIMS, 1)
+        _check_packed(self, _KERNEL_DIMS)
         _check_pad_bits(self.words, self.in_channels)
         self.words.setflags(write=False)
 
@@ -179,7 +180,8 @@ class I8FeatureMap:
             raise ValueError(f"feature map must be NHWC, got shape {v.shape}")
         if v.dtype != np.int8:
             raise ValueError(f"feature map must be int8, got {v.dtype}")
-        if v.size and int(v.min()) < -I8_MAX:
+        check_map_dims(v.shape)
+        if int(v.min()) < -I8_MAX:
             raise ValueError("feature map contains values below -127")
         v.setflags(write=False)
 
@@ -210,15 +212,15 @@ def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
     words on any host.
     """
     bits = np.asarray(bits)
-    lead, c = bits.shape[:-1], bits.shape[-1]
+    *lead, c = bits.shape  # a 0-d array, with no last axis, is a ValueError
     if c % 8:
         packed = np.packbits(bits, axis=-1, bitorder="little")
     else:
         # whole bytes per pixel: one flat pack skips packbits' per-row cost
-        packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(lead + (c // 8,))
+        packed = np.packbits(bits.reshape(-1), bitorder="little").reshape((*lead, c // 8))
     nbytes = words_per_pixel(c) * (WORD_BITS // 8)
     if packed.shape[-1] != nbytes:
-        padded = np.zeros(lead + (nbytes,), dtype=np.uint8)
+        padded = np.zeros((*lead, nbytes), dtype=np.uint8)
         padded[..., : packed.shape[-1]] = packed
         packed = padded
     return packed.view("<u8").astype(np.uint64, copy=False)
@@ -237,7 +239,6 @@ def pack_activations(x: np.ndarray) -> BitPlaneTensor:
     (-1); zero maps to +1.
     """
     x = np.asarray(x)
-    _check_dims(x.shape, _ACTIVATION_DIMS)
     if not np.isfinite(x).all():
         raise ValueError("activations must be finite")
     return BitPlaneTensor(tuple(x.shape), pack_bitplanes(x >= 0))
@@ -246,7 +247,6 @@ def pack_activations(x: np.ndarray) -> BitPlaneTensor:
 def pack_weights(w: np.ndarray) -> PackedKernelSet:
     """Binarize a real (out, fh, fw, in) weight tensor by sign and bit-pack it."""
     w = np.asarray(w)
-    _check_dims(w.shape, _KERNEL_DIMS)
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     return PackedKernelSet(tuple(w.shape), pack_bitplanes(w >= 0))

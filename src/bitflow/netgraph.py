@@ -207,11 +207,9 @@ def run_resnet_block(x, b: ResnetBlock, threads: int = 1) -> I8FeatureMap:
 
 def block_shapes(model: Model, input_dims) -> list:
     """Each block's output dims for an NHWC input of ``input_dims``; raises
-    GraphError where ``run_model`` cannot run: a batch below one, a float
-    block, a residual block after packed bits, a last block not emitting
-    8 bits, or a shape ``output_shape`` rejects."""
-    if input_dims[0] < 1:
-        raise GraphError(f"input batch must be at least 1, got {input_dims[0]}")
+    GraphError where ``run_model`` cannot run: a float block, a residual
+    block after packed bits, a last block not emitting 8 bits, or a shape
+    ``output_shape`` rejects (an input dim below one among them)."""
     dims, shapes = input_dims, []
     packed = False  # the previous block emits packed bits
     for i, blk in enumerate(model.blocks):
@@ -413,12 +411,8 @@ def _read_block(cur: _Cursor):
     cls = _BY_TAG[tag]
     spec = ConvSpec((sh, sw), (ph, pw))
     wps = words_per_pixel(cin)
-    words = (
-        np.frombuffer(cur.take(out * fh * fw * wps * 8), dtype="<u8")
-        .astype(np.uint64)
-        .reshape(out, fh, fw, wps)
-    )
-    kernel = PackedKernelSet((out, fh, fw, cin), words)
+    words = np.frombuffer(cur.take(out * fh * fw * wps * 8), dtype="<u8").astype(np.uint64)
+    kernel = PackedKernelSet((out, fh, fw, cin), words.reshape(out, fh, fw, wps))
     return cls(kernel, spec, _read_tables(cur, cls, out))
 
 

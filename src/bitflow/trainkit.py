@@ -744,7 +744,7 @@ def predict_classes(state: TrainState, images) -> np.ndarray:
 
 def _export_blocks(state: TrainState):
     for blk in state.blocks:
-        yield pack_weights(blk.weight.astype(np.float64)), blk.spec, blk
+        yield pack_weights(blk.weight), blk.spec, blk
 
 
 def export_float_model(state: TrainState) -> Model:

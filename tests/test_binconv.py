@@ -522,13 +522,14 @@ class TestConvFused:
         assert_tile_fits_budget((n, hw, hw, cin), k, spec, rows)
 
     def test_passed_rows_are_clamped_to_the_map(self):
-        # a 14-row map: rows below 1 become 1, rows past the map the map,
+        # a 14-row map: rows below 1 are an error, rows past the map the map,
         # and only a tile covering the map groups taps
         k = fuse_kernel(pack_weights(np.ones((8, 3, 3, 16))))
         spec, x_dims = ConvSpec(spatial_pad=(1, 1)), (1, 14, 14, 16)
-        assert [tile_plan(x_dims, k, spec, r)[0] for r in (-3, 0, 1, 5, 14, 19)] == [
-            1, 1, 1, 5, 14, 14
-        ]
+        for r in (-3, 0):
+            with pytest.raises(ValueError, match=r"tile_rows must be in \[1, inf\)"):
+                tile_plan(x_dims, k, spec, r)
+        assert [tile_plan(x_dims, k, spec, r)[0] for r in (1, 5, 14, 19)] == [1, 5, 14, 14]
         assert tile_plan(x_dims, k, spec, 19) == tile_plan(x_dims, k, spec, 14) == (14, 9)
         assert tile_plan(x_dims, k, spec, 13)[1] == 1
 

@@ -470,12 +470,16 @@ class TestSlabs:
         want = pack_bitplanes(np.where(direction == LE, x <= tau, x >= tau))
         assert np.array_equal(got, want)
 
-    def test_empty_maps_pass_through(self):
-        x = I8FeatureMap(np.zeros((0, 2, 2, self.C), dtype=np.int8))
-        m = np.ones(self.C, dtype=np.int16)
-        assert bn_q_forward(x, deploy_qbn(m, m, 3)).dims == (0, 2, 2, self.C)
+    def test_one_pixel_maps_run_in_one_slab(self):
+        # the smallest map the shape rule admits; an empty one cannot be built
+        rng = np.random.default_rng(7)
+        x = rng.integers(-127, 128, (1, 1, 1, self.C), dtype=np.int8)
+        m = rng.integers(-32768, 32768, self.C, dtype=np.int16)
+        got = bn_q_forward(I8FeatureMap(x), deploy_qbn(m, m, 3)).values
+        assert np.array_equal(got, closed_form_bn_q(x, m, m, 3))
         t = ThresholdParams(np.zeros(self.C, dtype=np.int16), np.zeros(self.C, dtype=np.uint8))
-        assert apply_threshold(x, t).words.shape == (0, 2, 2, 2)
+        words = apply_threshold(I8FeatureMap(x), t).words
+        assert np.array_equal(words, pack_bitplanes(x >= 0))
 
     def test_working_set_stays_within_the_budget(self):
         # the resnet-body map for batch norm, the vgg-toy stem's output
